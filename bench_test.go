@@ -954,9 +954,10 @@ func BenchmarkSweepCacheWarm(b *testing.B) {
 
 // schedBenchCases is the matchings/s grid for the pluggable planners
 // (DESIGN.md §10): every family at three fabric sizes, geometry matched
-// to the grouped core grid (uplinks = n/ports, epoch = ports slots).
-// The demand-aware families (pulse, negotiator) do real per-epoch work
-// proportional to live traffic; the static adapter and the round-robin
+// to the grouped core grid (uplinks = n/ports, epoch = ports slots),
+// each planned against two demand matrices (schedBenchDemands). The
+// demand-aware families (pulse, negotiator) do per-epoch work that
+// grows with live traffic; the static adapter and the round-robin
 // rotor bound the cost of the interface itself.
 var schedBenchCases = []struct {
 	family string
@@ -967,6 +968,56 @@ var schedBenchCases = []struct {
 	{"rotorrr", 64, 8}, {"rotorrr", 256, 16}, {"rotorrr", 1024, 32},
 	{"pulse", 64, 8}, {"pulse", 256, 16}, {"pulse", 1024, 32},
 	{"negotiator", 64, 8}, {"negotiator", 256, 16}, {"negotiator", 1024, 32},
+}
+
+// schedBenchDemands names the demand matrices of the grid. Rows of the
+// dense uniform matrix are named family/nN; the sparse hotspot rows
+// add a /hotspot suffix.
+var schedBenchDemands = []struct {
+	suffix string
+	gen    func(n int, r *rng.RNG) []int32
+}{
+	{"", uniformDemand},
+	{"/hotspot", hotspotDemand},
+}
+
+// uniformDemand gives every pair 0..7 queued cells.
+func uniformDemand(n int, r *rng.RNG) []int32 {
+	demand := make([]int32, n*n)
+	for i := range demand {
+		demand[i] = int32(r.Intn(8))
+	}
+	return demand
+}
+
+// hotspotDemand is the shape the core hands its planners at
+// sched_families' epoch boundaries: about 0.2% of pairs non-zero, and
+// half of all queued cells bound for one destination (node 0). Half the
+// non-zero pairs are random pairs with 1..16 cells; the rest are
+// distinct sources sharing as many cells again towards node 0.
+func hotspotDemand(n int, r *rng.RNG) []int32 {
+	demand := make([]int32, n*n)
+	pairs := max(2, n*n/500)
+	var cold int32
+	for k := 0; k < pairs/2; {
+		src, dst := r.Intn(n), 1+r.Intn(n-1)
+		if src == dst {
+			continue
+		}
+		c := int32(1 + r.Intn(16))
+		demand[src*n+dst] += c
+		cold += c
+		k++
+	}
+	h := int32(min(pairs/2, n-1))
+	for k := int32(0); k < h; k++ {
+		src := 1 + int(k)*(n-1)/int(h)
+		demand[src*n] = cold / h
+		if k < cold%h {
+			demand[src*n]++
+		}
+	}
+	return demand
 }
 
 // schedBenchRecord is one measured row of BENCH_sched.json. A matching
@@ -1009,8 +1060,9 @@ func writeBenchSched(b *testing.B, after map[string]schedBenchRecord) {
 	}
 	set("benchmark", "BenchmarkSchedulerPlans")
 	set("config", map[string]interface{}{
-		"seed": 1, "reconfig_slots": 1, "demand": "uniform random 0..7 cells per pair",
-		"note": "uplinks = n/ports, epoch = ports slots; matchings/s = plans/s x epoch slots",
+		"seed": 1, "reconfig_slots": 1,
+		"demand": "family/nN: uniform random 0..7 cells per pair; family/nN/hotspot: ~0.2% of pairs non-zero, half the cells to node 0",
+		"note":   "uplinks = n/ports, epoch = ports slots; matchings/s = plans/s x epoch slots",
 	})
 	set("after", rows)
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -1062,30 +1114,28 @@ func BenchmarkSchedulerPlans(b *testing.B) {
 	// grid updates the matching rows of BENCH_sched.json in place.
 	after := make(map[string]schedBenchRecord)
 	for _, tc := range schedBenchCases {
-		name := fmt.Sprintf("%s/n%d", tc.family, tc.n)
-		b.Run(name, func(b *testing.B) {
-			p := benchPlanner(b, tc.family, tc.n, tc.ports)
-			r := rng.New(1)
-			demand := make([]int32, tc.n*tc.n)
-			for i := range demand {
-				demand[i] = int32(r.Intn(8))
-			}
-			dst := make([]int32, p.SlotsPerEpoch()*tc.n*p.Uplinks())
-			var reconfig int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reconfig += int64(p.Plan(int64(i), demand, dst))
-			}
-			b.StopTimer()
-			plansSec := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(plansSec*float64(p.SlotsPerEpoch()), "matchings/s")
-			after[name] = schedBenchRecord{
-				NsPerPlan:             float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				MatchingsSec:          plansSec * float64(p.SlotsPerEpoch()),
-				ReconfigSlotsPerEpoch: float64(reconfig) / float64(b.N),
-				GOMAXPROCS:            runtime.GOMAXPROCS(0),
-			}
-		})
+		for _, dm := range schedBenchDemands {
+			name := fmt.Sprintf("%s/n%d%s", tc.family, tc.n, dm.suffix)
+			b.Run(name, func(b *testing.B) {
+				p := benchPlanner(b, tc.family, tc.n, tc.ports)
+				demand := dm.gen(tc.n, rng.New(1))
+				dst := make([]int32, p.SlotsPerEpoch()*tc.n*p.Uplinks())
+				var reconfig int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					reconfig += int64(p.Plan(int64(i), demand, dst))
+				}
+				b.StopTimer()
+				plansSec := float64(b.N) / b.Elapsed().Seconds()
+				b.ReportMetric(plansSec*float64(p.SlotsPerEpoch()), "matchings/s")
+				after[name] = schedBenchRecord{
+					NsPerPlan:             float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+					MatchingsSec:          plansSec * float64(p.SlotsPerEpoch()),
+					ReconfigSlotsPerEpoch: float64(reconfig) / float64(b.N),
+					GOMAXPROCS:            runtime.GOMAXPROCS(0),
+				}
+			})
+		}
 	}
 	if len(after) == 0 {
 		return

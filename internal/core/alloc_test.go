@@ -70,8 +70,8 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 
 // TestRunSteadyStateZeroAlloc pins the zero-allocation contract of the hot
 // path: once every fifo size class has seen its peak and the congestion
-// controller's grant buffers have grown to their high-water mark, a slot
-// performs no heap allocations in any operating mode.
+// controller's grant buffers have grown to their high-water mark, an
+// epoch of slots performs no heap allocations in any operating mode.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -89,6 +89,21 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 		{"ideal_sharded", func(c *Config) { c.Mode = ModeIdeal; c.Shards = 4 }, 4000},
 		{"direct_sharded", func(c *Config) { c.Mode = ModeDirect; c.Shards = 4 }, 4000},
 		{"paced_sharded", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64; c.Shards = 4 }, 4000},
+		// Dynamic planners (the golden 16-node families, 4-slot epochs):
+		// replan's demand snapshot and every Plan must be allocation-free
+		// once the planner's per-plan scratch exists.
+		{"sched_rotor", func(c *Config) {
+			c.Schedule, c.Planner = nil, goldenPlanner("rotor")
+			c.Mode = ModeIdeal
+		}, 4000},
+		{"sched_pulse", func(c *Config) {
+			c.Schedule, c.Planner = nil, goldenPlanner("pulse")
+			c.Mode = ModeDirect
+		}, 4000},
+		{"sched_negotiator", func(c *Config) {
+			c.Schedule, c.Planner = nil, goldenPlanner("negotiator")
+			c.Mode = ModeDirect
+		}, 4000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,8 +114,16 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 			if s.out == 0 {
 				t.Fatal("workload drained during warm-up; enlarge it")
 			}
-			if avg := testing.AllocsPerRun(300, stepOnce); avg != 0 {
-				t.Errorf("steady-state slot allocates %.2f objects/slot, want 0", avg)
+			// Measure whole epochs: AllocsPerRun truncates the average, so
+			// per-slot runs would hide an allocation made only at the epoch
+			// boundary (control plane, replan, Plan).
+			epoch := func() {
+				for e := 0; e < s.epochE; e++ {
+					stepOnce()
+				}
+			}
+			if avg := testing.AllocsPerRun(300/s.epochE, epoch); avg != 0 {
+				t.Errorf("steady-state epoch allocates %.2f objects/epoch, want 0", avg)
 			}
 			if s.out == 0 {
 				t.Fatal("workload drained during measurement; enlarge it")

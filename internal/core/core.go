@@ -33,7 +33,8 @@
 //     transmit (workActive), nodes with LOCAL backlog (localActive),
 //     nodes with paced injection pending (pendingActive) and, per node,
 //     the destinations with non-empty LOCAL queues (dstActive). The slot
-//     loop, the paced drain, the per-epoch demand enumeration and the
+//     loop, the paced drain, the per-epoch demand enumeration, the
+//     dynamic planner's demand snapshot (replan) and the
 //     ModeDirect/ModeIdeal epoch passes all iterate these sets, so their
 //     cost scales with live traffic rather than with n or n².
 //   - Zero-allocation steady state. FIFO backing segments are recycled
@@ -110,12 +111,16 @@ type Config struct {
 	Schedule schedule.Schedule
 	// Planner, when set, replaces the static schedule with a dynamic
 	// per-epoch scheduler (internal/sched): at every epoch boundary the
-	// core snapshots the queued-cell demand matrix (LOCAL backlog, plus
-	// staged destination VOQs in ModeDirect) and replans the epoch's
-	// connection table. Demand-aware planners (PULSE, NegotiaToR) only
-	// light links that carry demand, so they should run in ModeDirect —
-	// the request/grant and ideal-VLB modes assume all-pairs coverage
-	// within an epoch, which only demand-oblivious planners guarantee.
+	// core hands Plan an n×n matrix of cells queued per (source,
+	// destination) — LOCAL backlog, plus cells staged in the
+	// destination VOQs in ModeDirect — and Plan rewrites the epoch's
+	// whole connection table. The matrix is one buffer reused across
+	// epochs and updated in time proportional to the live pairs, so
+	// Plan must only read it, and only during the call. Demand-aware
+	// planners (PULSE, NegotiaToR) only light links that carry demand,
+	// so they should run in ModeDirect — the request/grant and
+	// ideal-VLB modes assume all-pairs coverage within an epoch, which
+	// only demand-oblivious planners guarantee.
 	Planner Planner
 	// Slot is the timeslot structure (cell size, line rate, guardband).
 	Slot phy.Slot
@@ -823,12 +828,16 @@ func (s *sim) consume(node, dst int) int64 {
 }
 
 // replan runs the dynamic planner at an epoch boundary: snapshot the
-// demand matrix (read-only — unlike demandScan this never touches the
-// round-robin cursors), let the planner rewrite the epoch's connection
-// table, and refresh the sharded engine's derived indices. It runs on
-// the coordinator goroutine before the epoch's control plane, at the
-// same point in the slot timeline in both engines, so a deterministic
-// planner preserves byte-identical serial/sharded replay.
+// demand matrix, let the planner rewrite the epoch's connection table,
+// and refresh the sharded engine's derived indices. The snapshot reads
+// the queues without touching demandScan's round-robin cursors, and
+// costs O(live pairs + active nodes·n/64): it zeroes only the entries
+// planTouched recorded last epoch, then walks each LOCAL-active node's
+// destination row and, in ModeDirect, each work-active node's txActive
+// row, never all n destinations. It runs on the coordinator goroutine
+// before the epoch's control plane, at the same point in the slot
+// timeline in both engines, so a deterministic planner preserves
+// byte-identical serial/sharded replay.
 func (s *sim) replan() {
 	d := s.planDemand
 	for _, idx := range s.planTouched {
@@ -849,15 +858,20 @@ func (s *sim) replan() {
 	if s.cfg.Mode == ModeDirect {
 		// Cells already staged in the destination VOQs are still unserved
 		// demand: ModeDirect's boundary drains LOCAL into them wholesale,
-		// so LOCAL alone would go blind after one epoch.
+		// so LOCAL alone would go blind after one epoch. Every non-empty
+		// VOQ has its txActive bit set, so walking the node's txActive
+		// row visits exactly the staged pairs (plus any with only a
+		// forward queue). The shards are parked here, so nextIn's atomic
+		// loads race with nothing.
+		tx := s.txActive
 		for node := s.workActive.next(0); node >= 0; node = s.workActive.next(node + 1) {
 			base := node * n
-			for dst := 0; dst < n; dst++ {
-				if l := s.voq[base+dst].len(); l > 0 {
-					if d[base+dst] == 0 {
-						s.planTouched = append(s.planTouched, int32(base+dst))
+			for idx := tx.nextIn(base, base+n); idx >= 0; idx = tx.nextIn(idx+1, base+n) {
+				if l := s.voq[idx].len(); l > 0 {
+					if d[idx] == 0 {
+						s.planTouched = append(s.planTouched, int32(idx))
 					}
-					d[base+dst] += int32(l)
+					d[idx] += int32(l)
 				}
 			}
 		}

@@ -6,11 +6,15 @@ import (
 	"sirius/internal/rng"
 )
 
-// FuzzPlanContentionFree drives PULSE and NegotiaToR over randomized
-// demand matrices and epoch sequences, asserting the safety invariants
-// that the core engine relies on: every plan is a contention-free
-// matching (per (slot, uplink) plane, injective src→dst, in-range), and
-// PULSE never serves a pair beyond its sampled demand.
+// FuzzPlanContentionFree drives RotorRR, PULSE and NegotiaToR over
+// randomized demand matrices and epoch sequences, asserting the safety
+// invariants that the core engine relies on: every plan is a
+// contention-free matching (per (slot, uplink) plane, injective
+// src→dst, in-range); PULSE never serves a pair beyond its sampled
+// demand, and NegotiaToR never beyond the previous epoch's (the
+// requests it sees one epoch late). Every plan must also equal the
+// pre-rewrite reference planner's, entry for entry, starting from a
+// junk-filled table.
 func FuzzPlanContentionFree(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(2), uint8(4), uint8(1))
 	f.Add(uint64(42), uint8(16), uint8(3), uint8(8), uint8(2))
@@ -20,17 +24,12 @@ func FuzzPlanContentionFree(f *testing.F) {
 		up := 1 + int(upRaw)%4      // 1..4
 		slots := 1 + int(slotRaw)%8 // 1..8
 		recfg := int(recfgRaw) % slots
-		p, err := NewPULSE(n, up, slots, recfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewNegotiaToR(n, up, slots, recfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pairs := newPlanPairs(t, n, up, slots, recfg)
 		rn := rng.New(seed)
 		demand := make([]int32, n*n)
+		prev := make([]int32, n*n) // last epoch's demand; nothing before epoch 0
 		dst := make([]int32, slots*n*up)
+		want := make([]int32, len(dst))
 		for epoch := int64(0); epoch < 6; epoch++ {
 			for i := range demand {
 				demand[i] = 0
@@ -41,25 +40,27 @@ func FuzzPlanContentionFree(f *testing.F) {
 			for i := 0; i < n; i++ {
 				demand[i*n+i] = 0 // no self traffic
 			}
-			rc := p.Plan(epoch, demand, dst)
-			if rc < 0 {
-				t.Fatalf("PULSE: negative reconfig %d", rc)
-			}
-			if err := CheckMatching(n, up, slots, dst); err != nil {
-				t.Fatalf("PULSE epoch %d (n=%d up=%d slots=%d recfg=%d): %v", epoch, n, up, slots, recfg, err)
-			}
-			for i, s := range servedPerPair(n, up, dst) {
-				if s > demand[i] {
-					t.Fatalf("PULSE epoch %d: pair (%d,%d) served %d > demand %d", epoch, i/n, i%n, s, demand[i])
+			for _, pp := range pairs {
+				comparePlans(t, pp, epoch, demand, dst, want, rn)
+				if err := CheckMatching(n, up, slots, dst); err != nil {
+					t.Fatalf("%s epoch %d (n=%d up=%d slots=%d recfg=%d): %v", pp.name, epoch, n, up, slots, recfg, err)
+				}
+				var bound []int32
+				switch pp.name {
+				case "pulse":
+					bound = demand
+				case "negotiator":
+					bound = prev
+				default:
+					continue
+				}
+				for i, s := range servedPerPair(n, up, dst) {
+					if s > bound[i] {
+						t.Fatalf("%s epoch %d: pair (%d,%d) served %d > requested %d", pp.name, epoch, i/n, i%n, s, bound[i])
+					}
 				}
 			}
-			rc = g.Plan(epoch, demand, dst)
-			if rc < 0 {
-				t.Fatalf("NegotiaToR: negative reconfig %d", rc)
-			}
-			if err := CheckMatching(n, up, slots, dst); err != nil {
-				t.Fatalf("NegotiaToR epoch %d (n=%d up=%d slots=%d recfg=%d): %v", epoch, n, up, slots, recfg, err)
-			}
+			copy(prev, demand)
 		}
 	})
 }

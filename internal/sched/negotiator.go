@@ -20,6 +20,15 @@ import "fmt"
 //
 // Receiver ports follow the rotor convention: circuit (src, u) → dst
 // occupies receive port u of dst exclusively until released.
+//
+// A plan costs in proportion to held circuits and live candidates, not
+// slots × nodes × uplinks: held links are walked through an ascending
+// bitset, and idle links are probed only for sources with live
+// candidates, whose lists hold only pairs with demand left. A port
+// frees only when a circuit on its uplink releases (the
+// available_up/available_dn discipline of rotorsim's OpticalSwitch),
+// so once an idle link finds every candidate port busy, it is not
+// probed again until its uplink's release generation moves on.
 type NegotiaToR struct {
 	nodes   int
 	uplinks int
@@ -33,7 +42,14 @@ type NegotiaToR struct {
 	cand     candSet
 	cur      []int32 // (src*uplinks+u) → held dst, -1 if idle
 	darkLeft []int32 // (src*uplinks+u) → reconfig slots still owed
-	rxBusy   []int32 // (dst*uplinks+u) → holding src, -1 if free
+	held     bitset  // links (src*uplinks+u) with cur >= 0
+	rxBusy   bitset  // receive ports (dst*uplinks+u) held by a circuit
+
+	// Per-plan probe memo, allocated by the first Plan: relGen[u]
+	// counts releases on uplink u during this plan; failGen[link] is
+	// relGen[u] when the link last found no free candidate port.
+	relGen  []int32
+	failGen []int32
 }
 
 // NewNegotiaToR builds a NegotiaToR scheduler. probeBound caps the
@@ -61,8 +77,11 @@ func NewNegotiaToR(nodes, uplinks, slotsPerEpoch, reconfigSlots, probeBound int)
 		rem:      make([]int32, nodes*nodes),
 		cur:      make([]int32, nodes*uplinks),
 		darkLeft: make([]int32, nodes*uplinks),
-		rxBusy:   make([]int32, nodes*uplinks),
 	}
+	// One allocation backs both link-indexed bitsets.
+	w := bitsetWords(nodes * uplinks)
+	bs := make(bitset, 2*w)
+	ng.held, ng.rxBusy = bs[:w:w], bs[w:]
 	ng.Reset()
 	return ng, nil
 }
@@ -83,46 +102,62 @@ func (g *NegotiaToR) ConnectionsPerEpoch() int { return g.slots }
 // Plan implements Scheduler.
 func (g *NegotiaToR) Plan(epoch int64, demand []int32, dst []int32) int {
 	n, up := g.nodes, g.uplinks
-	reconfig := 0
+	fillDark(dst[:g.slots*n*up])
 	if !g.havePrev {
 		// Requests are still in flight: nothing is granted yet.
-		for i := range dst[:g.slots*n*up] {
-			dst[i] = -1
-		}
 		copy(g.prev, demand)
 		g.havePrev = true
 		return 0
 	}
 	copy(g.rem, g.prev)
-	g.cand.build(n, g.probes, g.prev)
+	c := &g.cand
+	c.build(n, g.probes, g.prev)
+	if g.failGen == nil {
+		g.relGen = make([]int32, up)
+		g.failGen = make([]int32, n*up)
+	}
+	clear(g.failGen)
+	for u := range g.relGen {
+		g.relGen[u] = 1
+	}
+	reconfig := 0
+	prune := false // some candidate list emptied since live was pruned
 	for slot := 0; slot < g.slots; slot++ {
 		base := slot * n * up
-		// Serve or release held circuits first, then establish new
-		// ones — a fixed order shared by every replay.
-		for src := 0; src < n; src++ {
-			for u := 0; u < up; u++ {
-				link := src*up + u
-				e := base + link
-				dst[e] = -1
-				d := g.cur[link]
-				if d < 0 {
-					continue
-				}
-				if g.rem[src*n+int(d)] <= 0 {
-					// Requested demand drained: release the circuit.
-					g.rxBusy[int(d)*up+u] = -1
-					g.cur[link] = -1
-					g.darkLeft[link] = 0
-					continue
-				}
-				if g.darkLeft[link] > 0 {
-					g.darkLeft[link]--
-					reconfig++
-					continue
-				}
-				dst[e] = d
-				g.rem[src*n+int(d)]--
+		// Serve or release held circuits first, in ascending
+		// (src, uplink) order, then establish new ones — a fixed order
+		// shared by every replay. src advances with link instead of
+		// dividing by up.
+		src, lo := 0, 0 // lo = src*up
+		for link := g.held.next(0); link >= 0; link = g.held.next(link + 1) {
+			for link >= lo+up {
+				src, lo = src+1, lo+up
 			}
+			u := link - lo
+			d := g.cur[link]
+			r := src*n + int(d)
+			if g.rem[r] <= 0 {
+				// Requested demand drained: release the circuit.
+				g.rxBusy.clear(int(d)*up + u)
+				g.held.clear(link)
+				g.cur[link] = -1
+				g.darkLeft[link] = 0
+				g.relGen[u]++
+				continue
+			}
+			if g.darkLeft[link] > 0 {
+				g.darkLeft[link]--
+				reconfig++
+				continue
+			}
+			dst[base+link] = d
+			if g.consume(r, src, d) {
+				prune = true
+			}
+		}
+		if prune {
+			c.pruneLive()
+			prune = false
 		}
 		// Establish new circuits on idle links, rotating the source
 		// start for fairness (pure function of epoch and slot).
@@ -130,33 +165,37 @@ func (g *NegotiaToR) Plan(epoch int64, demand []int32, dst []int32) int {
 		if start < 0 {
 			start += n
 		}
-		for i := 0; i < n; i++ {
-			src := start + i
-			if src >= n {
-				src -= n
+		live, k := c.live, c.liveFrom(start)
+		for i := range live {
+			idx := k + i
+			if idx >= len(live) {
+				idx -= len(live)
 			}
+			src := int(live[idx])
 			for u := 0; u < up; u++ {
 				link := src*up + u
-				if g.cur[link] >= 0 {
+				if g.held.has(link) || g.failGen[link] == g.relGen[u] {
 					continue
 				}
-				for _, d := range g.cand.lists[src] {
-					if g.rem[src*n+int(d)] <= 0 || g.rxBusy[int(d)*up+u] >= 0 {
-						continue
+				d := g.freeCandidate(c.lists[src], u)
+				if d < 0 {
+					g.failGen[link] = g.relGen[u]
+					continue
+				}
+				g.cur[link] = d
+				g.held.set(link)
+				g.rxBusy.set(int(d)*up + u)
+				g.darkLeft[link] = int32(g.recfg)
+				if g.recfg > 0 {
+					// The establishment slot itself is the first
+					// reconfiguration slot.
+					g.darkLeft[link]--
+					reconfig++
+				} else {
+					dst[base+link] = d
+					if g.consume(src*n+int(d), src, d) {
+						prune = true
 					}
-					g.cur[link] = d
-					g.rxBusy[int(d)*up+u] = int32(src)
-					g.darkLeft[link] = int32(g.recfg)
-					if g.recfg > 0 {
-						// The establishment slot itself is the first
-						// reconfiguration slot.
-						g.darkLeft[link]--
-						reconfig++
-					} else {
-						dst[base+link] = d
-						g.rem[src*n+int(d)]--
-					}
-					break
 				}
 			}
 		}
@@ -165,12 +204,32 @@ func (g *NegotiaToR) Plan(epoch int64, demand []int32, dst []int32) int {
 	return reconfig
 }
 
+// consume takes one requested cell of pair r = (src, d). The moment
+// the pair's demand drains, d leaves src's candidate list, so a probe
+// never meets a drained candidate. It reports whether the list emptied.
+func (g *NegotiaToR) consume(r, src int, d int32) (emptied bool) {
+	g.rem[r]--
+	return g.rem[r] == 0 && g.cand.remove(src, d)
+}
+
+// freeCandidate returns the first of list whose receive port on uplink
+// u is free, or -1.
+func (g *NegotiaToR) freeCandidate(list []int32, u int) int32 {
+	for _, d := range list {
+		if !g.rxBusy.has(int(d)*g.uplinks + u) {
+			return d
+		}
+	}
+	return -1
+}
+
 // Reset implements Scheduler: drop held circuits and in-flight requests.
 func (g *NegotiaToR) Reset() {
 	g.havePrev = false
 	for i := range g.cur {
 		g.cur[i] = -1
-		g.rxBusy[i] = -1
 		g.darkLeft[i] = 0
 	}
+	clear(g.held)
+	clear(g.rxBusy)
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // candSet holds per-source candidate destination lists for one planning
 // epoch: each source's destinations with positive remaining demand,
@@ -8,9 +11,17 @@ import "fmt"
 // order — and every plan built from it — is deterministic). Lists are
 // capped at a fixed depth: demand-aware solvers probe a bounded number
 // of candidates rather than scanning all n destinations per slot.
+//
+// Within one Plan a pair's remaining demand only falls, so a
+// candidate whose demand is exhausted can never be chosen again: the
+// planners drop it from its list (order preserved) instead of
+// re-probing it, and visit only the sources in live.
 type candSet struct {
 	lists [][]int32 // per src, dst indices, demand-descending
-	buf   []int32   // backing storage, reused across epochs
+	rem   []int32   // per src*depth+j: remaining demand of lists[src][j] (PULSE)
+	live  []int32   // ascending sources whose list is non-empty
+	depth int
+	buf   []int32 // backing storage, reused across epochs
 }
 
 // build fills the candidate lists from demand (n×n row-major), keeping
@@ -19,10 +30,14 @@ type candSet struct {
 func (c *candSet) build(n, depth int, demand []int32) {
 	if cap(c.buf) < n*depth {
 		c.buf = make([]int32, n*depth)
+		c.rem = make([]int32, n*depth)
 	}
 	if c.lists == nil {
 		c.lists = make([][]int32, n)
+		c.live = make([]int32, 0, n)
 	}
+	c.depth = depth
+	c.live = c.live[:0]
 	for src := 0; src < n; src++ {
 		list := c.buf[src*depth : src*depth : (src+1)*depth]
 		row := demand[src*n : (src+1)*n]
@@ -47,7 +62,64 @@ func (c *candSet) build(n, depth int, demand []int32) {
 			list[i] = int32(dst)
 		}
 		c.lists[src] = list
+		if len(list) > 0 {
+			c.live = append(c.live, int32(src))
+			rem := c.rem[src*depth:]
+			for j, d := range list {
+				rem[j] = row[d]
+			}
+		}
 	}
+}
+
+// serve consumes one cell of src's j-th candidate, dropping the
+// candidate once its demand is exhausted. It reports whether src's
+// list became empty.
+func (c *candSet) serve(src, j int) (emptied bool) {
+	rem := c.rem[src*c.depth : src*c.depth+len(c.lists[src])]
+	rem[j]--
+	if rem[j] > 0 {
+		return false
+	}
+	copy(rem[j:], rem[j+1:])
+	return c.drop(src, j)
+}
+
+// drop removes src's j-th candidate, keeping the rest in order, and
+// reports whether src's list became empty. It leaves rem alone: only
+// serve's callers read it.
+func (c *candSet) drop(src, j int) (emptied bool) {
+	list := c.lists[src]
+	copy(list[j:], list[j+1:])
+	c.lists[src] = list[:len(list)-1]
+	return len(list) == 1
+}
+
+// remove drops d from src's list if it is there, and reports whether
+// the list became empty.
+func (c *candSet) remove(src int, d int32) (emptied bool) {
+	j := slices.Index(c.lists[src], d)
+	return j >= 0 && c.drop(src, j)
+}
+
+// pruneLive removes the sources whose lists have emptied from live,
+// keeping it ascending.
+func (c *candSet) pruneLive() {
+	live := c.live[:0]
+	for _, src := range c.live {
+		if len(c.lists[src]) > 0 {
+			live = append(live, src)
+		}
+	}
+	c.live = live
+}
+
+// liveFrom returns the index in live of the first source >= start, or
+// len(live) when there is none: visiting live[k:] then live[:k] walks
+// the live sources in the rotated order start, start+1, ..., start-1.
+func (c *candSet) liveFrom(start int) int {
+	k, _ := slices.BinarySearch(c.live, int32(start))
+	return k
 }
 
 // PULSE is a per-epoch demand-aware scheduler modeled on PULSE's
@@ -67,11 +139,9 @@ type PULSE struct {
 	recfg   int
 	probes  int // candidate probe bound per (src, slot, uplink)
 
-	rem   []int32 // remaining unserved demand, consumed as slots are planned
 	cand  candSet
-	owner []int32 // (dst*uplinks+u) → claiming src for the current slot
-	stamp []int32 // claim validity stamp, avoids clearing owner per slot
-	cur   int32   // current stamp
+	stamp []int32 // (dst*uplinks+u) → plane stamp of its last claim
+	cur   int32   // current (slot, uplink) plane's stamp
 }
 
 // NewPULSE builds a PULSE scheduler. probeBound caps how many of its
@@ -96,8 +166,6 @@ func NewPULSE(nodes, uplinks, slotsPerEpoch, reconfigSlots, probeBound int) (*PU
 	return &PULSE{
 		nodes: nodes, uplinks: uplinks, slots: slotsPerEpoch,
 		recfg: reconfigSlots, probes: probeBound,
-		rem:   make([]int32, nodes*nodes),
-		owner: make([]int32, nodes*uplinks),
 		stamp: make([]int32, nodes*uplinks),
 	}, nil
 }
@@ -115,11 +183,13 @@ func (p *PULSE) SlotsPerEpoch() int { return p.slots }
 // in principle give a hot pair every serving slot of the epoch.
 func (p *PULSE) ConnectionsPerEpoch() int { return p.slots - p.recfg }
 
-// Plan implements Scheduler.
+// Plan implements Scheduler. Only sources with live candidates are
+// visited, in the rotated order; every other entry stays dark.
 func (p *PULSE) Plan(epoch int64, demand []int32, dst []int32) int {
 	n, up := p.nodes, p.uplinks
-	copy(p.rem, demand)
-	p.cand.build(n, p.probes, demand)
+	fillDark(dst[:p.slots*n*up])
+	c := &p.cand
+	c.build(n, p.probes, demand)
 	reconfig := 0
 	for slot := 0; slot < p.slots; slot++ {
 		base := slot * n * up
@@ -133,23 +203,20 @@ func (p *PULSE) Plan(epoch int64, demand []int32, dst []int32) int {
 			if start < 0 {
 				start += n
 			}
-			for i := 0; i < n; i++ {
-				src := start + i
-				if src >= n {
-					src -= n
+			live, k := c.live, c.liveFrom(start)
+			emptied := false
+			for i := range live {
+				idx := k + i
+				if idx >= len(live) {
+					idx -= len(live)
 				}
-				e := base + src*up + u
-				dst[e] = -1
-				for _, d := range p.cand.lists[src] {
-					if p.rem[src*n+int(d)] <= 0 {
-						continue
-					}
+				src := int(live[idx])
+				for j, d := range c.lists[src] {
 					port := int(d)*up + u
 					if p.stamp[port] == p.cur {
 						continue
 					}
 					p.stamp[port] = p.cur
-					p.owner[port] = int32(src)
 					if dark {
 						// The assignment exists but the plane is
 						// still reconfiguring: a lost serving
@@ -157,11 +224,16 @@ func (p *PULSE) Plan(epoch int64, demand []int32, dst []int32) int {
 						// stays unserved.
 						reconfig++
 					} else {
-						dst[e] = d
-						p.rem[src*n+int(d)]--
+						dst[base+src*up+u] = d
+						if c.serve(src, j) {
+							emptied = true
+						}
 					}
 					break
 				}
+			}
+			if emptied {
+				c.pruneLive()
 			}
 		}
 	}

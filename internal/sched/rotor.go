@@ -62,25 +62,27 @@ func (r *RotorRR) shift(epoch int64, u int) int {
 }
 
 // Plan implements Scheduler: matching i → i+shift on every uplink, all
-// slots, with the leading reconfig slots dark.
+// slots, with the leading reconfig slots dark. Every serving slot
+// carries the same row, so the row is built once and copied.
 func (r *RotorRR) Plan(epoch int64, demand []int32, dst []int32) int {
 	n, up := r.nodes, r.uplinks
+	plane := n * up
+	fillDark(dst[:r.recfg*plane])
+	row := dst[r.recfg*plane : (r.recfg+1)*plane]
 	for u := 0; u < up; u++ {
 		m := r.shift(epoch, u)
-		for slot := 0; slot < r.slots; slot++ {
-			base := slot * n * up
-			if slot < r.recfg {
-				for node := 0; node < n; node++ {
-					dst[base+node*up+u] = -1
-				}
-				continue
-			}
-			for node := 0; node < n; node++ {
-				dst[base+node*up+u] = int32((node + m) % n)
-			}
+		// node → node+m, wrapping past n-1 without a division.
+		for node := 0; node < n-m; node++ {
+			row[node*up+u] = int32(node + m)
+		}
+		for node := n - m; node < n; node++ {
+			row[node*up+u] = int32(node + m - n)
 		}
 	}
-	return r.recfg * n * up
+	for slot := r.recfg + 1; slot < r.slots; slot++ {
+		copy(dst[slot*plane:(slot+1)*plane], row)
+	}
+	return r.recfg * plane
 }
 
 // Reset implements Scheduler: the rotor position is a pure function of

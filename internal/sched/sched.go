@@ -29,6 +29,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sirius/internal/schedule"
 )
@@ -53,9 +54,11 @@ type Scheduler interface {
 	// Plan fills dst — laid out [(slot*nodes + node)*uplinks + uplink],
 	// length SlotsPerEpoch()*Nodes()*Uplinks() — with the coming
 	// epoch's matchings; -1 marks a dark (unused or reconfiguring)
-	// entry. demand is the read-only nodes×nodes matrix of cells
-	// queued at each source for each destination, sampled by the core
-	// at the epoch boundary. epoch counts boundaries since Reset. The
+	// entry. Plan defines every entry of dst whatever it held before,
+	// so the caller may reuse one table across epochs. demand is the
+	// read-only nodes×nodes matrix of cells queued at each source for
+	// each destination, sampled by the core at the epoch boundary.
+	// epoch counts boundaries since Reset. The
 	// return value is the number of link-slots left dark to pay for
 	// reconfiguration this epoch (the overhead numerator; the epoch's
 	// total link-slots SlotsPerEpoch*Nodes*Uplinks is the denominator).
@@ -151,3 +154,47 @@ func (a *Static) SlotFor(src, dst int) (uplink, slot int) { return a.s.SlotFor(s
 
 // Schedule returns the wrapped static schedule.
 func (a *Static) Schedule() schedule.Schedule { return a.s }
+
+// fillDark marks every entry of dst dark (-1), doubling a filled
+// prefix with copy so the fill runs at memmove speed.
+func fillDark(dst []int32) {
+	if len(dst) == 0 {
+		return
+	}
+	dst[0] = -1
+	for i := 1; i < len(dst); i *= 2 {
+		copy(dst[i:], dst[:i])
+	}
+}
+
+// bitset is a dense set over small non-negative ints; next iterates
+// it in ascending order at one word probe per 64 ids. internal/core
+// has its own (with atomic variants for its sharded engine); a
+// scheduler must not depend on the simulator that drives it.
+type bitset []uint64
+
+// bitsetWords returns the number of words needed for n bits.
+func bitsetWords(n int) int { return (n + 63) / 64 }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// next returns the smallest member >= i, or -1 when there is none. It
+// re-reads the word on every call, so members cleared behind the
+// cursor during iteration are simply not revisited.
+func (b bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return -1
+	}
+	if m := b[w] & (^uint64(0) << (uint(i) & 63)); m != 0 {
+		return w<<6 + bits.TrailingZeros64(m)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
+}
