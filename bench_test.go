@@ -273,48 +273,36 @@ func BenchmarkLaserTune(b *testing.B) {
 }
 
 // coreBenchCases is the cells/sec grid: topology sizes n ∈ {64 .. 4096}
-// across the three operating modes, serial and sharded. The first case
-// (n64/rg) is the historical BenchmarkCoreCellsPerSecond configuration and
-// the PR-to-PR comparison anchor; see BENCH_core.json for the recorded
-// trajectory. The shards4 rows only demonstrate real speedup when
-// GOMAXPROCS > 1 — each recorded row carries the GOMAXPROCS it was
-// measured under, and a sharded row measured at GOMAXPROCS=1 reports the
-// engine's coordination overhead, not its scaling.
+// across the three operating modes. The first case (n64/rg) is the
+// historical BenchmarkCoreCellsPerSecond configuration and the PR-to-PR
+// comparison anchor; see BENCH_core.json for the recorded trajectory.
 var coreBenchCases = []struct {
-	name   string
-	n      int
-	ports  int
-	flows  int
-	mode   core.Mode
-	shards int
+	name  string
+	n     int
+	ports int
+	flows int
+	mode  core.Mode
 }{
-	{"n64/rg", 64, 8, 2000, core.ModeRequestGrant, 1},
-	{"n64/ideal", 64, 8, 2000, core.ModeIdeal, 1},
-	{"n64/direct", 64, 8, 2000, core.ModeDirect, 1},
-	{"n256/rg", 256, 16, 2000, core.ModeRequestGrant, 1},
-	{"n256/ideal", 256, 16, 2000, core.ModeIdeal, 1},
-	{"n256/direct", 256, 16, 2000, core.ModeDirect, 1},
-	{"n1024/rg", 1024, 32, 4000, core.ModeRequestGrant, 1},
-	{"n1024/ideal", 1024, 32, 4000, core.ModeIdeal, 1},
-	{"n1024/direct", 1024, 32, 4000, core.ModeDirect, 1},
-	{"n1024/rg/shards4", 1024, 32, 4000, core.ModeRequestGrant, 4},
-	{"n1024/ideal/shards4", 1024, 32, 4000, core.ModeIdeal, 4},
-	{"n1024/direct/shards4", 1024, 32, 4000, core.ModeDirect, 4},
-	{"n4096/rg", 4096, 64, 8000, core.ModeRequestGrant, 1},
-	{"n4096/ideal", 4096, 64, 8000, core.ModeIdeal, 1},
-	{"n4096/direct", 4096, 64, 8000, core.ModeDirect, 1},
-	{"n4096/rg/shards4", 4096, 64, 8000, core.ModeRequestGrant, 4},
-	{"n4096/ideal/shards4", 4096, 64, 8000, core.ModeIdeal, 4},
-	{"n4096/direct/shards4", 4096, 64, 8000, core.ModeDirect, 4},
+	{"n64/rg", 64, 8, 2000, core.ModeRequestGrant},
+	{"n64/ideal", 64, 8, 2000, core.ModeIdeal},
+	{"n64/direct", 64, 8, 2000, core.ModeDirect},
+	{"n256/rg", 256, 16, 2000, core.ModeRequestGrant},
+	{"n256/ideal", 256, 16, 2000, core.ModeIdeal},
+	{"n256/direct", 256, 16, 2000, core.ModeDirect},
+	{"n1024/rg", 1024, 32, 4000, core.ModeRequestGrant},
+	{"n1024/ideal", 1024, 32, 4000, core.ModeIdeal},
+	{"n1024/direct", 1024, 32, 4000, core.ModeDirect},
+	{"n4096/rg", 4096, 64, 8000, core.ModeRequestGrant},
+	{"n4096/ideal", 4096, 64, 8000, core.ModeIdeal},
+	{"n4096/direct", 4096, 64, 8000, core.ModeDirect},
 }
 
-// coreBenchRecord is one measured row of BENCH_core.json. Shards and
-// GOMAXPROCS are part of the record because a sharded number without the
-// parallelism it ran under is not interpretable.
+// coreBenchRecord is one measured row of BENCH_core.json. GOMAXPROCS is
+// part of the record because the garbage collector runs on spare CPUs,
+// so even the serial core's rows change with it.
 type coreBenchRecord struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	CellsSec   float64 `json:"cells_per_sec"`
-	Shards     int     `json:"shards"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 }
 
@@ -350,8 +338,7 @@ func writeBenchCore(b *testing.B, after map[string]coreBenchRecord) {
 	set("benchmark", "BenchmarkCoreCellsPerSecond")
 	set("config", map[string]interface{}{
 		"load": 0.9, "q": 4, "rate_gbps": 400, "seed": 1,
-		"note": "grouped(n, ports, 1) schedule; flows per coreBenchCases; " +
-			"shards4 rows need gomaxprocs > 1 to show scaling",
+		"note": "grouped(n, ports, 1) schedule; flows per coreBenchCases",
 	})
 	set("baseline_pre_optimization", coreBenchBaseline)
 	set("after", rows)
@@ -366,16 +353,17 @@ func writeBenchCore(b *testing.B, after map[string]coreBenchRecord) {
 
 func BenchmarkCoreCellsPerSecond(b *testing.B) {
 	// End-to-end simulator throughput: cells simulated per wall second,
-	// across topology sizes, operating modes and shard counts. Running any
-	// subset of the grid updates the matching rows of BENCH_core.json in
-	// place (writeBenchCore).
+	// across topology sizes and operating modes. Running any subset of
+	// the grid updates the matching rows of BENCH_core.json in place
+	// (writeBenchCore).
 	after := make(map[string]coreBenchRecord)
 	for _, tc := range coreBenchCases {
 		b.Run(tc.name, func(b *testing.B) {
 			if tc.n >= 4096 && os.Getenv("SIRIUS_N4096") == "" {
-				// A single n4096 iteration is tens of seconds; the CI
-				// n4096-smoke job opts in explicitly, everything else
-				// (and `-bench . -benchtime 1x` smoke runs) skips.
+				// A single n4096 iteration takes seconds and allocates
+				// the n² queue state; the CI n4096-smoke job opts in
+				// explicitly, everything else (and `-bench . -benchtime
+				// 1x` smoke runs) skips.
 				b.Skip("set SIRIUS_N4096=1 to run the n4096 rows")
 			}
 			sched, err := schedule.NewGrouped(tc.n, tc.ports, 1)
@@ -400,7 +388,6 @@ func BenchmarkCoreCellsPerSecond(b *testing.B) {
 					Mode:          tc.mode,
 					NormalizeRate: 400 * simtime.Gbps,
 					Seed:          1,
-					Shards:        tc.shards,
 				}, flows)
 				if err != nil {
 					b.Fatal(err)
@@ -411,7 +398,6 @@ func BenchmarkCoreCellsPerSecond(b *testing.B) {
 			after[tc.name] = coreBenchRecord{
 				NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 				CellsSec:   cellsSec,
-				Shards:     tc.shards,
 				GOMAXPROCS: runtime.GOMAXPROCS(0),
 			}
 		})

@@ -77,14 +77,14 @@ func main() {
 		batchBytes    = flag.Int("batch-bytes", 0, "emulator output batching: byte budget per coalesced write (0 = default)")
 		flushInterval = flag.Duration("flush-interval", 0, "emulator output batching: idle flush interval (0 = default)")
 
-		planPath  = flag.String("faultplan", "", "JSON fault plan to inject (internal/fault format)")
-		killNode  = flag.Int("kill-node", -1, "shorthand: fail-stop this node...")
-		killEpoch = flag.Int("kill-epoch", 0, "...at this fabric epoch")
+		planPath   = flag.String("faultplan", "", "JSON fault plan to inject (internal/fault format)")
+		killNode   = flag.Int("kill-node", -1, "shorthand: fail-stop this node...")
+		killEpoch  = flag.Int("kill-epoch", 0, "...at this fabric epoch")
 		drainNode  = flag.Int("drain-node", -1, "shorthand: cooperatively drain this node...")
 		drainEpoch = flag.Int("drain-epoch", 0, "...announcing at this fabric epoch (detaches at epoch+2, zero loss)")
 		readdEpoch = flag.Int("readd-epoch", -1, "re-admit the drained node at this epoch (requires -drain-node)")
 		expand     = flag.String("expand", "", `grow the fabric live: comma list of "node@epoch" joiners (ids < -nodes)`)
-		seed      = flag.Uint64("seed", 42, "seed for every random choice (corruption substreams)")
+		seed       = flag.Uint64("seed", 42, "seed for every random choice (corruption substreams)")
 
 		telAddr     = flag.String("telemetry", "", "serve live /metrics, /healthz and /debug/vars on this address (e.g. 127.0.0.1:9090)")
 		telHold     = flag.Bool("telemetry-hold", false, "keep serving telemetry after the run completes, until SIGINT")

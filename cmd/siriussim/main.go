@@ -83,7 +83,6 @@ func run(args []string) int {
 		trace    = fs.String("trace", "", "flow-trace CSV for -exp custom (arrival_ns,src,dst,bytes)")
 		ports    = fs.Int("ports", 8, "grating ports for -exp custom")
 		parallel = fs.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
-		cores    = fs.Int("cores", 0, "slot-level core shard count (0 = the scale's default; 1 = serial; byte-identical either way)")
 		seed     = fs.Uint64("seed", 0, "root seed for the sweeps (0 = the scale's default seed)")
 		useCache = fs.Bool("cache", true, "memoize completed sweep points on disk")
 		cacheDir = fs.String("cachedir", "results/cache", "sweep point cache directory")
@@ -167,9 +166,6 @@ func run(args []string) int {
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
-	}
-	if *cores != 0 {
-		sc.CoreShards = *cores
 	}
 	loadList, err := parseFloats(*loads)
 	if err != nil {
@@ -348,19 +344,12 @@ func run(args []string) int {
 		Cells       int64   `json:"cells,omitempty"`
 		Slots       int64   `json:"slots,omitempty"`
 		CellsPerSec float64 `json:"cells_per_sec,omitempty"`
-		// Shards is the slot-level core's shard count and ShardCells the
-		// cells transmitted by each shard's nodes (phase T plus sweep
-		// attribution); ShardCellsPerSec divides those by the experiment
-		// wall clock. Only real parallel speedup when GOMAXPROCS > 1.
-		Shards           int       `json:"shards,omitempty"`
-		ShardCells       []int64   `json:"shard_cells,omitempty"`
-		ShardCellsPerSec []float64 `json:"shard_cells_per_sec,omitempty"`
-		Flows            int64     `json:"flows,omitempty"`
-		Events           int64     `json:"events,omitempty"`
-		FlowsPerSec      float64   `json:"flows_per_sec,omitempty"`
-		DCFlows          int64     `json:"dc_flows,omitempty"`
-		Racks            int64     `json:"racks,omitempty"`
-		Err              string    `json:"error,omitempty"`
+		Flows       int64   `json:"flows,omitempty"`
+		Events      int64   `json:"events,omitempty"`
+		FlowsPerSec float64 `json:"flows_per_sec,omitempty"`
+		DCFlows     int64   `json:"dc_flows,omitempty"`
+		Racks       int64   `json:"racks,omitempty"`
+		Err         string  `json:"error,omitempty"`
 	}
 	var perfRecords []perfRecord
 
@@ -374,7 +363,6 @@ func run(args []string) int {
 			return
 		}
 		cells0, slots0 := core.Counters()
-		shard0 := core.ShardCounters()
 		flows0, events0 := fluid.Counters()
 		dcFlows0, racks0 := dc.Counters()
 		t0 := time.Now()
@@ -393,34 +381,10 @@ func run(args []string) int {
 			if d := cells - cells0; d > 0 && wall > 0 {
 				rec.Cells, rec.Slots = d, slots-slots0
 				rec.CellsPerSec = float64(d) / wall.Seconds()
-				if sc.CoreShards > 1 {
-					shardN := core.ShardCounters()
-					var sd []int64
-					for i := range shardN {
-						if dd := shardN[i] - shard0[i]; dd != 0 {
-							for len(sd) <= i {
-								sd = append(sd, 0)
-							}
-							sd[i] = dd
-						}
-					}
-					if len(sd) > 0 {
-						rec.Shards = sc.CoreShards
-						rec.ShardCells = sd
-						rec.ShardCellsPerSec = make([]float64, len(sd))
-						for i, dd := range sd {
-							rec.ShardCellsPerSec[i] = float64(dd) / wall.Seconds()
-						}
-					}
-				}
 				if *perf {
-					extra := ""
-					if rec.Shards > 1 {
-						extra = fmt.Sprintf("  (%d shards)", rec.Shards)
-					}
-					fmt.Fprintf(os.Stderr, "perf: %-9s %10v wall  %12d cells  %10d slots  %8.2fM cells/s%s\n",
+					fmt.Fprintf(os.Stderr, "perf: %-9s %10v wall  %12d cells  %10d slots  %8.2fM cells/s\n",
 						id, wall.Round(time.Millisecond), d, slots-slots0,
-						float64(d)/wall.Seconds()/1e6, extra)
+						float64(d)/wall.Seconds()/1e6)
 				}
 				printed = true
 			}

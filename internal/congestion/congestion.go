@@ -178,7 +178,7 @@ func (c *Controller) Tick(demand func(node int) []int) [][]Grant {
 	if c.instant {
 		// Oracle ablation: requests issue, process and deliver within
 		// the same epoch boundary.
-		c.issueRequests(demand, nil)
+		c.issueRequests(demand)
 		c.processRequests()
 		return c.swapGranted()
 	}
@@ -187,40 +187,8 @@ func (c *Controller) Tick(demand func(node int) []int) [][]Grant {
 	// 2. Intermediates process last epoch's requests.
 	c.processRequests()
 	// 3. Sources issue this epoch's requests.
-	c.issueRequests(demand, nil)
+	c.issueRequests(demand)
 	return delivered
-}
-
-// InstantEnabled reports whether the instant-control ablation is on, so a
-// caller driving the phase methods below can match Tick's phase order.
-func (c *Controller) InstantEnabled() bool { return c.instant }
-
-// The *Phase methods expose Tick's sub-steps individually so the sharded
-// core engine can interleave its own parallel work (demand precompute,
-// request scatter, grant delivery) between them. Calling them in Tick's
-// documented order performs exactly the same RNG draws and state
-// transitions as Tick itself; the serial Tick remains the reference.
-
-// SwapGrantedPhase delivers the grants issued last epoch (Tick step 1).
-func (c *Controller) SwapGrantedPhase() [][]Grant { return c.swapGranted() }
-
-// ProcessRequestsPhase runs the intermediates' side (Tick step 2).
-func (c *Controller) ProcessRequestsPhase() { c.processRequests() }
-
-// IssueRequestsEmit runs the sources' side like Tick step 3 but hands each
-// accepted request to emit instead of registering it, so the caller can
-// apply the requests concurrently via ApplyRequest (partitioned by via —
-// the register step is a large share of the epoch cost at scale). The RNG
-// draw sequence is identical to the inline path.
-func (c *Controller) IssueRequestsEmit(demand func(node int) []int, emit func(via, dst, src int32)) {
-	c.issueRequests(demand, emit)
-}
-
-// ApplyRequest registers one request produced by IssueRequestsEmit. Calls
-// for different vias touch disjoint state; within one via they must be
-// applied in emission order.
-func (c *Controller) ApplyRequest(via, dst, src int32) {
-	c.inflight[via].add(int(dst), int(src))
 }
 
 // swapGranted returns the accumulated grant buffer and installs the other
@@ -278,11 +246,7 @@ func (c *Controller) processRequests() {
 // intermediate per epoch" generalized to schedules that connect each pair
 // perDest times per epoch, so the request plane matches the data plane's
 // capacity.
-//
-// When emit is non-nil each accepted request is handed to it instead of
-// being registered in inflight (see IssueRequestsEmit); the RNG sequence
-// is unaffected by the choice.
-func (c *Controller) issueRequests(demand func(node int) []int, emit func(via, dst, src int32)) {
+func (c *Controller) issueRequests(demand func(node int) []int) {
 	liveVias := c.n
 	if c.failed != nil {
 		liveVias = 0
@@ -316,11 +280,7 @@ func (c *Controller) issueRequests(demand func(node int) []int, emit func(via, d
 				continue // no eligible intermediate left for this cell
 			}
 			used++
-			if emit != nil {
-				emit(int32(via), int32(dst), int32(src))
-			} else {
-				c.inflight[via].add(dst, src)
-			}
+			c.inflight[via].add(dst, src)
 		}
 	}
 }

@@ -42,10 +42,6 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.sh != nil {
-		s.sh.start()
-		t.Cleanup(s.sh.stop)
-	}
 	// Inject the whole workload up front so the system stays busy for the
 	// duration of the measurement.
 	for f := range flows {
@@ -59,11 +55,7 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 		if s.pendingQ != nil && s.pendingOut > 0 {
 			s.drainPending()
 		}
-		if s.sh != nil {
-			s.stepSharded(int(slot%epochE), now.Add(slotDur))
-		} else {
-			s.step(int(slot%epochE), now.Add(slotDur))
-		}
+		s.step(int(slot%epochE), now.Add(slotDur))
 		slot++
 	}
 }
@@ -74,59 +66,69 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 // epoch of slots performs no heap allocations in any operating mode.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(*Config)
-		warm   int
+		name    string
+		mutate  func(*Config)
+		warm    int
+		engines int // engines stepped in turn; 0 means 1
 	}{
-		{"requestgrant", func(c *Config) {}, 4000},
-		{"ideal", func(c *Config) { c.Mode = ModeIdeal }, 4000},
-		{"direct", func(c *Config) { c.Mode = ModeDirect }, 4000},
-		{"paced", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64 }, 4000},
-		// Sharded engine: the barrier hand-offs (channel send + WaitGroup),
-		// the event logs, the screen, and the per-shard arenas must all be
-		// allocation-free once warm, same as the serial loop.
-		{"requestgrant_sharded", func(c *Config) { c.Shards = 4 }, 4000},
-		{"ideal_sharded", func(c *Config) { c.Mode = ModeIdeal; c.Shards = 4 }, 4000},
-		{"direct_sharded", func(c *Config) { c.Mode = ModeDirect; c.Shards = 4 }, 4000},
-		{"paced_sharded", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64; c.Shards = 4 }, 4000},
+		{"requestgrant", func(c *Config) {}, 4000, 0},
+		{"ideal", func(c *Config) { c.Mode = ModeIdeal }, 4000, 0},
+		{"direct", func(c *Config) { c.Mode = ModeDirect }, 4000, 0},
+		{"paced", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64 }, 4000, 0},
+		// Four engines of one configuration stepped in turn on one
+		// goroutine, as engines share a CPU in a parallel sweep: each owns
+		// its arenas, fifos and grant buffers, so interleaving them must
+		// stay allocation-free too.
+		{"requestgrant_sharded", func(c *Config) {}, 4000, 4},
+		{"ideal_sharded", func(c *Config) { c.Mode = ModeIdeal }, 4000, 4},
+		{"direct_sharded", func(c *Config) { c.Mode = ModeDirect }, 4000, 4},
+		{"paced_sharded", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64 }, 4000, 4},
 		// Dynamic planners (the golden 16-node families, 4-slot epochs):
 		// replan's demand snapshot and every Plan must be allocation-free
 		// once the planner's per-plan scratch exists.
 		{"sched_rotor", func(c *Config) {
 			c.Schedule, c.Planner = nil, goldenPlanner("rotor")
 			c.Mode = ModeIdeal
-		}, 4000},
+		}, 4000, 0},
 		{"sched_pulse", func(c *Config) {
 			c.Schedule, c.Planner = nil, goldenPlanner("pulse")
 			c.Mode = ModeDirect
-		}, 4000},
+		}, 4000, 0},
 		{"sched_negotiator", func(c *Config) {
 			c.Schedule, c.Planner = nil, goldenPlanner("negotiator")
 			c.Mode = ModeDirect
-		}, 4000},
+		}, 4000, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, stepOnce := stepDriver(t, tc.mutate)
-			for i := 0; i < tc.warm && s.out > 0; i++ {
-				stepOnce()
-			}
-			if s.out == 0 {
-				t.Fatal("workload drained during warm-up; enlarge it")
+			sims := make([]*sim, max(tc.engines, 1))
+			steps := make([]func(), len(sims))
+			for i := range sims {
+				sims[i], steps[i] = stepDriver(t, tc.mutate)
+				for w := 0; w < tc.warm && sims[i].out > 0; w++ {
+					steps[i]()
+				}
+				if sims[i].out == 0 {
+					t.Fatal("workload drained during warm-up; enlarge it")
+				}
 			}
 			// Measure whole epochs: AllocsPerRun truncates the average, so
 			// per-slot runs would hide an allocation made only at the epoch
 			// boundary (control plane, replan, Plan).
 			epoch := func() {
-				for e := 0; e < s.epochE; e++ {
-					stepOnce()
+				for i, s := range sims {
+					for e := 0; e < s.epochE; e++ {
+						steps[i]()
+					}
 				}
 			}
-			if avg := testing.AllocsPerRun(300/s.epochE, epoch); avg != 0 {
+			if avg := testing.AllocsPerRun(300/sims[0].epochE, epoch); avg != 0 {
 				t.Errorf("steady-state epoch allocates %.2f objects/epoch, want 0", avg)
 			}
-			if s.out == 0 {
-				t.Fatal("workload drained during measurement; enlarge it")
+			for _, s := range sims {
+				if s.out == 0 {
+					t.Fatal("workload drained during measurement; enlarge it")
+				}
 			}
 		})
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // bitset is a dense index over node or destination ids. The hot loops use
 // it as their active set: iteration cost scales with the number of set
@@ -49,48 +46,16 @@ func (b bitset) next(i int) int {
 	return -1
 }
 
-// Atomic variants for the sharded engine (shard.go): shard node ranges are
-// contiguous but not word-aligned, so two shards may own bits of the same
-// word. Each shard only *acts* on bits inside its own range — concurrent
-// mutations are confined to foreign ranges, so masked reads stay
-// deterministic — but the word-level accesses must be atomic to be a
-// defined program. Serial phases (coordinator-only, separated from the
-// parallel phases by barriers) keep using the plain methods above.
-
-func (b bitset) setAtomic(i int) {
-	addr, mask := &b[i>>6], uint64(1)<<(uint(i)&63)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&mask != 0 || atomic.CompareAndSwapUint64(addr, old, old|mask) {
-			return
-		}
-	}
-}
-
-func (b bitset) clearAtomic(i int) {
-	addr, mask := &b[i>>6], uint64(1)<<(uint(i)&63)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&mask == 0 || atomic.CompareAndSwapUint64(addr, old, old&^mask) {
-			return
-		}
-	}
-}
-
-func (b bitset) hasAtomic(i int) bool {
-	return atomic.LoadUint64(&b[i>>6])&(1<<(uint(i)&63)) != 0
-}
-
-// nextIn returns the smallest set bit in [i, hi), reading words
-// atomically, or -1 when there is none. It is the sharded slot loop's
-// range-bounded iterator over shared active sets.
+// nextIn returns the smallest set bit in [i, hi), or -1 when there is
+// none. Unlike next it stops at hi, so walking one row of a flat n×n
+// bitset (replan's txActive rows) never scans the later rows.
 func (b bitset) nextIn(i, hi int) int {
 	if i < 0 {
 		i = 0
 	}
 	for i < hi {
 		w := i >> 6
-		m := atomic.LoadUint64(&b[w]) & (^uint64(0) << (uint(i) & 63))
+		m := b[w] & (^uint64(0) << (uint(i) & 63))
 		if m != 0 {
 			j := w<<6 + bits.TrailingZeros64(m)
 			if j >= hi {

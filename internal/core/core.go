@@ -91,8 +91,7 @@ const (
 // satisfies it. Plan fills dst — laid out like the internal schedule
 // table, [(slot*nodes+node)*uplinks+uplink], -1 = dark — and returns
 // the link-slots left dark to pay for reconfiguration. The core calls
-// Reset once per run and then Plan serially from the coordinator
-// goroutine, identically in the serial and sharded engines, so a
+// Reset once per run and then Plan once per epoch boundary, so a
 // deterministic planner keeps runs byte-identical at a fixed seed. A
 // Planner instance must not be shared between concurrent runs.
 type Planner interface {
@@ -170,13 +169,6 @@ type Config struct {
 	Seed uint64
 	// MaxSlots caps the run as a safety net; 0 means a generous default.
 	MaxSlots int64
-	// Shards partitions the slot loop across that many goroutines owning
-	// contiguous node ranges (shard.go). Results are byte-identical to the
-	// serial engine at the same seed — the sharded engine replays the
-	// serial discipline exactly (see DESIGN.md §6, "Scaling law") — so
-	// Shards is purely a throughput knob. 0 or 1 selects the serial
-	// engine. Values are clamped to the node count and to 64.
-	Shards int
 }
 
 // Results summarizes a run.
@@ -363,10 +355,6 @@ type sim struct {
 	grantsIssued int64   // request/grant mode: grants handed out
 	grantsUnused int64   // grants whose LOCAL queue had drained
 	localStalls  int64   // drainPending stalls on the LOCAL cap (guardband)
-	txCells      int64   // cells transmitted (slot-loop pops), all uplinks
-
-	// sh is the sharded engine (nil = serial). See shard.go.
-	sh *shardEng
 }
 
 // Run simulates the given flows to completion and returns the results.
@@ -538,20 +526,6 @@ func newSim(ctx context.Context, cfg Config, flows []workload.Flow) (*sim, error
 			s.cc.InstantControl()
 		}
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: negative shard count")
-	}
-	if p := cfg.Shards; p > 1 {
-		if p > n {
-			p = n
-		}
-		if p > maxShards {
-			p = maxShards
-		}
-		if p > 1 {
-			s.sh = newShardEng(s, p)
-		}
-	}
 	return s, nil
 }
 
@@ -611,11 +585,6 @@ func (s *sim) run() (*Results, error) {
 	var slot int64
 	quiescent := 0
 
-	if s.sh != nil {
-		s.sh.start()
-		defer s.sh.stop()
-	}
-
 	for ; slot < maxSlots; slot++ {
 		now := simtime.Time(slot * int64(slotDur))
 		// Inject flows that have arrived by the start of this slot.
@@ -651,18 +620,11 @@ func (s *sim) run() (*Results, error) {
 				}
 			}
 		}
-		if s.sh != nil {
-			s.stepSharded(e, now.Add(slotDur))
-		} else {
-			s.step(e, now.Add(slotDur))
-		}
+		s.step(e, now.Add(slotDur))
 	}
 	if slot >= maxSlots {
 		return nil, fmt.Errorf("core: slot cap %d reached with %d/%d flows complete",
 			maxSlots, s.completed, len(s.flows))
-	}
-	if s.sh != nil {
-		s.sh.mergeStats()
 	}
 	statCells.Add(s.delivered)
 	statSlots.Add(slot)
@@ -724,34 +686,26 @@ func (s *sim) step(e int, deliverAt simtime.Time) {
 		}
 		s.epochBoundary()
 	}
-	row := s.dstTable[e*s.n*s.uplinks : (e+1)*s.n*s.uplinks]
-	for node := s.workActive.next(0); node >= 0; node = s.workActive.next(node + 1) {
-		s.nodeStep(node, row, deliverAt)
-	}
-}
-
-// nodeStep runs one node's turn of the slot: the uplink fan-out over this
-// slot's schedule row. It is shared between the serial slot loop and the
-// sharded engine's serial pass over affected nodes (shard.go), which is
-// why it is split out of step.
-func (s *sim) nodeStep(node int, row []int32, deliverAt simtime.Time) {
 	uplinks := s.uplinks
-	nodeRow := row[node*uplinks : (node+1)*uplinks]
-	base := node * s.n
+	row := s.dstTable[e*s.n*uplinks : (e+1)*s.n*uplinks]
 	tx := s.txActive
-	for u := 0; u < uplinks; u++ {
-		dst := int(nodeRow[u])
-		if dst < 0 || dst == node {
-			continue
-		}
-		if !tx.has(base + dst) {
-			s.upIdle[u]++
-			continue // both queues for this peer are empty: idle slot
-		}
-		s.transmit(node, dst, deliverAt)
-		s.upTx[u]++
-		if s.workCells[node] == 0 {
-			break // node drained mid-slot; remaining uplinks are idle
+	for node := s.workActive.next(0); node >= 0; node = s.workActive.next(node + 1) {
+		nodeRow := row[node*uplinks : (node+1)*uplinks]
+		base := node * s.n
+		for u := 0; u < uplinks; u++ {
+			dst := int(nodeRow[u])
+			if dst < 0 || dst == node {
+				continue
+			}
+			if !tx.has(base + dst) {
+				s.upIdle[u]++
+				continue // both queues for this peer are empty: idle slot
+			}
+			s.transmit(node, dst, deliverAt)
+			s.upTx[u]++
+			if s.workCells[node] == 0 {
+				break // node drained mid-slot; remaining uplinks are idle
+			}
 		}
 	}
 }
@@ -828,16 +782,13 @@ func (s *sim) consume(node, dst int) int64 {
 }
 
 // replan runs the dynamic planner at an epoch boundary: snapshot the
-// demand matrix, let the planner rewrite the epoch's connection table,
-// and refresh the sharded engine's derived indices. The snapshot reads
-// the queues without touching demandScan's round-robin cursors, and
-// costs O(live pairs + active nodes·n/64): it zeroes only the entries
-// planTouched recorded last epoch, then walks each LOCAL-active node's
-// destination row and, in ModeDirect, each work-active node's txActive
-// row, never all n destinations. It runs on the coordinator goroutine
-// before the epoch's control plane, at the same point in the slot
-// timeline in both engines, so a deterministic planner preserves
-// byte-identical serial/sharded replay.
+// demand matrix and let the planner rewrite the epoch's connection
+// table. The snapshot reads the queues without touching demand's
+// round-robin cursors, and costs O(live pairs + active nodes·n/64): it
+// zeroes only the entries planTouched recorded last epoch, then walks
+// each LOCAL-active node's destination row and, in ModeDirect, each
+// work-active node's txActive row, never all n destinations. It runs
+// before the epoch's control plane.
 func (s *sim) replan() {
 	d := s.planDemand
 	for _, idx := range s.planTouched {
@@ -861,8 +812,7 @@ func (s *sim) replan() {
 		// so LOCAL alone would go blind after one epoch. Every non-empty
 		// VOQ has its txActive bit set, so walking the node's txActive
 		// row visits exactly the staged pairs (plus any with only a
-		// forward queue). The shards are parked here, so nextIn's atomic
-		// loads race with nothing.
+		// forward queue).
 		tx := s.txActive
 		for node := s.workActive.next(0); node >= 0; node = s.workActive.next(node + 1) {
 			base := node * n
@@ -877,9 +827,6 @@ func (s *sim) replan() {
 		}
 	}
 	s.reconfigSlots += int64(s.cfg.Planner.Plan(s.epoch, d, s.dstTable))
-	if s.sh != nil {
-		s.sh.rebuildIndex()
-	}
 }
 
 // epochBoundary runs the control plane for the coming epoch.
@@ -1030,28 +977,16 @@ func (s *sim) findVia(node, d int) (int, bool) {
 // (the dstActive index), so an idle or lightly loaded node costs O(n/64)
 // instead of O(n).
 func (s *sim) demand(node int) []int {
-	buf, cands, counts := s.demandScan(node, s.demandBuf[:0], s.demandCands[:0], s.demandCounts[:0])
-	s.demandBuf = buf
-	s.demandCands, s.demandCounts = cands[:0], counts[:0]
-	return buf
-}
-
-// demandScan is demand with caller-provided scratch, appending node's
-// request candidates to buf (which may already hold other nodes'): the
-// sharded engine precomputes every node's demand concurrently with one
-// scratch set per shard (shard.go), accumulating into per-shard flat
-// buffers. The enumeration order and the demandStart bump are exactly
-// demand's.
-func (s *sim) demandScan(node int, buf []int, cands, counts []int32) ([]int, []int32, []int32) {
 	start := s.demandStart[node] % s.n
 	s.demandStart[node]++
 	if s.localCount[node] == 0 {
-		return buf, cands, counts
+		return s.demandBuf[:0]
 	}
-	n0 := len(buf)
+	buf := s.demandBuf[:0]
 	limit := s.k * (s.n - 1)
 	// Collect the destinations with backlog and their depths, in the
 	// rotated order the reference scan produced.
+	cands, counts := s.demandCands[:0], s.demandCounts[:0]
 	base := node * s.n
 	row := s.dstRow(node)
 	for d := row.next(start); d >= 0; d = row.next(d + 1) {
@@ -1064,7 +999,7 @@ func (s *sim) demandScan(node int, buf []int, cands, counts []int32) ([]int, []i
 	}
 	// Distribute the budget one cell per destination per pass, dropping
 	// exhausted queues from the compact candidate list.
-	for len(buf)-n0 < limit && len(cands) > 0 {
+	for len(buf) < limit && len(cands) > 0 {
 		w := 0
 		for i, d := range cands {
 			buf = append(buf, int(d))
@@ -1073,13 +1008,15 @@ func (s *sim) demandScan(node int, buf []int, cands, counts []int32) ([]int, []i
 				cands[w], counts[w] = d, counts[i]
 				w++
 			}
-			if len(buf)-n0 == limit {
+			if len(buf) == limit {
 				break
 			}
 		}
 		cands, counts = cands[:w], counts[:w]
 	}
-	return buf, cands, counts
+	s.demandBuf = buf
+	s.demandCands, s.demandCounts = cands[:0], counts[:0]
+	return buf
 }
 
 // transmit sends at most one cell from node to dst in this slot: either a
@@ -1099,7 +1036,6 @@ func (s *sim) transmit(node, dst int, deliverAt simtime.Time) {
 	case useFwd:
 		// Forward a cell queued at this node (as intermediate) destined
 		// dst: final delivery.
-		s.txCells++
 		ref := fw.pop(&s.ar64)
 		if fw.empty() && vq.empty() {
 			s.txActive.clear(idx)
@@ -1116,7 +1052,6 @@ func (s *sim) transmit(node, dst int, deliverAt simtime.Time) {
 	case !vq.empty():
 		// Send a granted cell to its intermediate (possibly the final
 		// destination itself: the direct path).
-		s.txCells++
 		ref := vq.pop(&s.ar64)
 		if vq.empty() && fw.empty() {
 			s.txActive.clear(idx)
@@ -1140,12 +1075,6 @@ func (s *sim) transmit(node, dst int, deliverAt simtime.Time) {
 		s.txActive.set(fwdIdx)
 		s.workInc(dst)
 		s.queueGauge[dst].Add(1)
-		if s.sh != nil {
-			// Sweep replay of an affected node (shardSweep): the push
-			// bypassed the event log, but the receiver still needs the
-			// idle-correction bookkeeping its logged counterparts get.
-			s.sh.noteSweepPush(node, dst)
-		}
 	}
 	// Otherwise idle: the slot carries only piggybacked control (already
 	// modeled by the epoch-granularity control plane).

@@ -332,38 +332,49 @@ func TestIdleGapSkipping(t *testing.T) {
 }
 
 func TestPropertyConservation(t *testing.T) {
-	// For random small workloads: every byte offered is delivered, on
-	// both modes, and the sim terminates.
-	f := func(seed uint64, modeRaw, loadRaw uint8) bool {
-		mode := Mode(modeRaw % 2)
-		load := 0.2 + float64(loadRaw%7)*0.1
-		wcfg := workload.DefaultConfig(8, 200*simtime.Gbps, load, 60)
-		wcfg.Seed = seed
-		wcfg.MeanFlowBytes = 20e3
-		flows, err := workload.Generate(wcfg)
-		if err != nil {
-			return false
-		}
-		sched, err := schedule.NewGrouped(8, 4, 1)
-		if err != nil {
-			return false
-		}
-		res, err := Run(Config{
-			Schedule:      sched,
-			Slot:          phy.DefaultSlot(),
-			Q:             3,
-			Mode:          mode,
-			NormalizeRate: 100 * simtime.Gbps,
-			Seed:          seed,
-		}, flows)
-		if err != nil {
-			return false
-		}
-		return res.Completed == len(flows) &&
-			res.DeliveredBytes == workload.TotalBytes(flows)
+	// For random small workloads: every byte offered is delivered and the
+	// sim terminates, in every mode, on a grouped schedule and on a rotor
+	// that connects one pair on three uplinks in a slot.
+	grouped, err := schedule.NewGrouped(8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
+	rotor, err := schedule.NewRotor(8, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []struct {
+		name  string
+		sched schedule.Schedule
+	}{{"grouped", grouped}, {"rotor", rotor}} {
+		for _, mode := range []Mode{ModeRequestGrant, ModeIdeal, ModeDirect} {
+			f := func(seed uint64, loadRaw uint8) bool {
+				load := 0.2 + float64(loadRaw%7)*0.1
+				wcfg := workload.DefaultConfig(8, 200*simtime.Gbps, load, 60)
+				wcfg.Seed = seed
+				wcfg.MeanFlowBytes = 20e3
+				flows, err := workload.Generate(wcfg)
+				if err != nil {
+					return false
+				}
+				res, err := Run(Config{
+					Schedule:      sc.sched,
+					Slot:          phy.DefaultSlot(),
+					Q:             3,
+					Mode:          mode,
+					NormalizeRate: 100 * simtime.Gbps,
+					Seed:          seed,
+				}, flows)
+				if err != nil {
+					return false
+				}
+				return res.Completed == len(flows) &&
+					res.DeliveredBytes == workload.TotalBytes(flows)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Errorf("%s schedule, mode %d: %v", sc.name, mode, err)
+			}
+		}
 	}
 }
 

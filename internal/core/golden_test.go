@@ -103,11 +103,10 @@ func goldenCase(t *testing.T, mutate func(*Config)) (Config, []workload.Flow) {
 	return cfg, flows
 }
 
-// goldenCases is the fixture grid, shared with the sharded byte-identity
-// tests (shard_test.go). The sched_* cases drive the dynamic-planner
-// path (Config.Planner) through each scheduler family in its natural
-// operating mode; their mutate builds a fresh planner per call so no
-// cross-run state can leak between tests.
+// goldenCases is the fixture grid. The sched_* cases drive the
+// dynamic-planner path (Config.Planner) through each scheduler family
+// in its natural operating mode; their mutate builds a fresh planner
+// per call so no cross-run state can leak between tests.
 func goldenCases() []struct {
 	name   string
 	mutate func(*Config)

@@ -125,11 +125,6 @@ func (q *fifo[T]) pop(a *arena[T]) T {
 
 func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
-// peek returns the head element without removing it. The sharded engine's
-// affected-set screen uses it to inspect the cell a VOQ would transmit
-// next slot.
-func (q *fifo[T]) peek() T { return q.items[q.head] }
-
 func (q *fifo[T]) empty() bool { return q.head >= len(q.items) }
 
 // cellRef packs a flow id and an intra-flow sequence number into one

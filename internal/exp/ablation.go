@@ -15,7 +15,6 @@ import (
 // the scale seed for both the workload and the simulator, because a fair
 // ablation must change exactly one knob and share all randomness.
 func Ablation(ctx context.Context, rn *sweep.Runner, s Scale, load float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "ablations: pricing the design choices",
 		Note: "each row changes exactly one thing relative to SIRIUS " +

@@ -97,7 +97,6 @@ func (s Scale) runSiriusSched(ctx context.Context, flows []workload.Flow, p core
 		Mode:          mode,
 		NormalizeRate: s.nodeRate(),
 		Seed:          s.Seed,
-		Shards:        s.CoreShards,
 	}
 	return core.RunContext(ctx, cfg, flows)
 }
@@ -111,7 +110,6 @@ func (s Scale) runSiriusSched(ctx context.Context, flows []workload.Flow, p core
 // nodes x uplinks); the static Sirius schedule and the ESN are zero by
 // construction.
 func ArchCompare(ctx context.Context, rn *sweep.Runner, s Scale, loads, meanBytes, hotFracs []float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "archcompare: scheduler families head-to-head vs the fluid ESN baseline",
 		Note: "static = Sirius fixed-rotation fabric; rotorrr = RotorNet-style round-robin; " +

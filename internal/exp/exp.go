@@ -121,13 +121,6 @@ type Scale struct {
 	GratingPorts int
 	Flows        int
 	Seed         uint64
-
-	// CoreShards partitions the slot-level simulator's per-slot work
-	// across goroutine shards (core.Config.Shards); 0 keeps the serial
-	// engine. The sharded engine is byte-identical to serial at a fixed
-	// seed, so CoreShards is deliberately not part of the sweep cache key
-	// (keyID): cached points remain valid across shard counts.
-	CoreShards int
 }
 
 // SmallScale fits in seconds on a laptop while preserving the paper's
@@ -148,12 +141,9 @@ func PaperScale() Scale {
 }
 
 // XLScale stresses the simulator at 4096 racks with 64-port gratings —
-// the full flat-fabric scale the paper's §2 sizing argument targets. It
-// defaults to the 4-shard core, sized for multi-core hosts (CI runners
-// included); a single fig9 point lands in ~1–2 minutes either way, so
-// n=4096 is CI-feasible. On a single-CPU host low-load points can run
-// faster serial (-cores 1): sparse slots amortize the shard barriers
-// poorly, while dense slots win even single-threaded (DESIGN.md §6.6).
+// the full flat-fabric scale the paper's §2 sizing argument targets. A
+// single fig9 point takes ~15 s on a 2-vCPU Xeon host, so n=4096 is
+// CI-feasible (DESIGN.md §6.6).
 func XLScale() Scale {
-	return Scale{Racks: 4096, GratingPorts: 64, Flows: 8000, Seed: 1, CoreShards: 4}
+	return Scale{Racks: 4096, GratingPorts: 64, Flows: 8000, Seed: 1}
 }

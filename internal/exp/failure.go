@@ -21,7 +21,6 @@ import (
 // runs inside a point share the point's substream seed so the comparison
 // prices the schedule, not the randomness.
 func Failure(ctx context.Context, rn *sweep.Runner, s Scale, failures []int) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "§4.5: node failures — degraded vs compacted schedule",
 		Note: "paper: failures cost proportional bandwidth; schedule " +

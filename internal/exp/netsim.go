@@ -75,24 +75,7 @@ func (s Scale) runSiriusMutated(ctx context.Context, flows []workload.Flow, muta
 		cfg.Mode = o.mode
 	}
 	cfg.TrackReorder = cfg.TrackReorder || o.trackReorder
-	if cfg.Shards == 0 {
-		cfg.Shards = s.CoreShards
-	}
 	return core.RunContext(ctx, cfg, flows)
-}
-
-// arbitrateShards resolves the two-level parallelism budget, mirroring
-// ServerLevel's rack-worker arbitration: when the sweep itself fans
-// points out across parallel workers, each point keeps its slot loop
-// serial so the two levels do not oversubscribe the machine; a serial
-// sweep hands the core its full CoreShards budget. Results are identical
-// either way (the sharded engine is byte-identical to serial by
-// contract, pinned by the golden replays).
-func (s Scale) arbitrateShards(rn *sweep.Runner) Scale {
-	if rn != nil && rn.Parallel != 1 {
-		s.CoreShards = 0
-	}
-	return s
 }
 
 // runESN runs the idealized electrically-switched baseline. The fluid
@@ -123,7 +106,6 @@ func fmtMS(v float64) string {
 // normalized goodput for SIRIUS, SIRIUS (IDEAL), ESN (Ideal) and
 // ESN-OSUB (Ideal). One sweep point per load; rn == nil runs serially.
 func Fig9(ctx context.Context, rn *sweep.Runner, s Scale, loads []float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "Fig 9: short-flow p99 FCT (ms) and normalized goodput vs load",
 		Note: "paper shape: Sirius ~= ESN (Ideal); ESN-OSUB much worse; " +
@@ -178,7 +160,6 @@ func Fig9(ctx context.Context, rn *sweep.Runner, s Scale, loads []float64) (*Tab
 // queue occupancy and peak reorder buffer for Q in {2,4,8,16}. One sweep
 // point per (Q, load) pair.
 func Fig10(ctx context.Context, rn *sweep.Runner, s Scale, qs []int, loads []float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "Fig 10: effect of the queue bound Q",
 		Note: "paper: Q=4 best FCT/goodput trade-off; peak aggregate queue " +
@@ -224,7 +205,6 @@ func Fig10(ctx context.Context, rn *sweep.Runner, s Scale, qs []int, loads []flo
 // guardband is its own point on the same flow sample (seeded from the
 // scale, not the substream, so all rows compare like for like).
 func Fig11(ctx context.Context, rn *sweep.Runner, s Scale, guardsNS []float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "Fig 11: short-flow p99 FCT vs guardband (10% of slot), high load",
 		Note:  "paper: FCT grows sharply beyond ~10 ns; motivates fast tuning + CDR",
@@ -298,7 +278,6 @@ func Fig11(ctx context.Context, rn *sweep.Runner, s Scale, guardsNS []float64) (
 // Fig12 reproduces the uplink-provisioning sweep: goodput for 1x, 1.5x
 // and 2x uplinks against the ESN. One sweep point per load.
 func Fig12(ctx context.Context, rn *sweep.Runner, s Scale, mults, loads []float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "Fig 12: normalized goodput vs load for 1x/1.5x/2x uplinks",
 		Note:  "paper: 1.5x suffices to match ESN (Ideal); 1x loses ~20% at full load",
@@ -350,7 +329,6 @@ func Fig12(ctx context.Context, rn *sweep.Runner, s Scale, mults, loads []float6
 // grow. One sweep point per mean flow size; the workload itself differs
 // per point, so it is seeded from the point substream.
 func Fig13(ctx context.Context, rn *sweep.Runner, s Scale, meanBytes []float64, load float64) (*Table, error) {
-	s = s.arbitrateShards(rn)
 	t := &Table{
 		Title: "Fig 13: FCT and goodput vs average flow size",
 		Note: "paper: at 512 B mean, cells cost ~2.3x FCT and ~1.7x goodput " +

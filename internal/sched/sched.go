@@ -24,7 +24,7 @@
 // Determinism contract: Plan must be a pure function of (epoch, demand,
 // receiver state mutated only by previous Plan calls). No wall clock,
 // no global RNG — the core replays runs byte-identically at a fixed
-// seed, serial or sharded, and the sweep cache depends on it.
+// seed, and the sweep cache depends on it.
 package sched
 
 import (
@@ -169,8 +169,8 @@ func fillDark(dst []int32) {
 
 // bitset is a dense set over small non-negative ints; next iterates
 // it in ascending order at one word probe per 64 ids. internal/core
-// has its own (with atomic variants for its sharded engine); a
-// scheduler must not depend on the simulator that drives it.
+// has its own; a scheduler must not depend on the simulator that
+// drives it.
 type bitset []uint64
 
 // bitsetWords returns the number of words needed for n bits.

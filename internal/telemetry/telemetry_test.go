@@ -79,13 +79,13 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}{
 		{0, 0},
 		{-1, 0},
-		{math.Ldexp(1, histMinExp-3), 0},       // below range -> underflow
-		{math.SmallestNonzeroFloat64, 0},       // subnormal -> underflow
-		{math.Ldexp(1, histMinExp), 1},         // exactly 2^min -> first real bucket
-		{1.0, 1 - histMinExp},                  // 1.0 = 2^0: Frexp exp=1 -> bucket [1,2)
-		{1.5, 1 - histMinExp},                  // same bucket [1,2)
-		{math.Ldexp(1, histMaxExp - 1), histBuckets - 2}, // top finite bucket
-		{math.Ldexp(1, histMaxExp), histBuckets - 1},     // 2^max -> overflow
+		{math.Ldexp(1, histMinExp-3), 0}, // below range -> underflow
+		{math.SmallestNonzeroFloat64, 0}, // subnormal -> underflow
+		{math.Ldexp(1, histMinExp), 1},   // exactly 2^min -> first real bucket
+		{1.0, 1 - histMinExp},            // 1.0 = 2^0: Frexp exp=1 -> bucket [1,2)
+		{1.5, 1 - histMinExp},            // same bucket [1,2)
+		{math.Ldexp(1, histMaxExp-1), histBuckets - 2}, // top finite bucket
+		{math.Ldexp(1, histMaxExp), histBuckets - 1},   // 2^max -> overflow
 		{math.MaxFloat64, histBuckets - 1},
 		{math.Inf(1), histBuckets - 1},
 		{math.NaN(), histBuckets - 1},
