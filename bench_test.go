@@ -12,14 +12,15 @@ package sirius
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"sirius/internal/core"
-	"sirius/internal/dc"
 	"sirius/internal/exp"
 	"sirius/internal/fluid"
 	"sirius/internal/laser"
@@ -272,6 +273,65 @@ func BenchmarkLaserTune(b *testing.B) {
 	_ = total
 }
 
+// ---- BENCH_*.json: one writer for every measured grid ----
+
+// recordBench merges one measured row into BENCH_<layer>.json. The row
+// holds metrics plus the GOMAXPROCS it ran under (the garbage collector
+// runs on spare CPUs, so even serial code's rows change with it) and
+// lands under "after" keyed <name>/gomaxprocs=<n>: a subset run, or a
+// run at another -cpu, leaves every other row alone. "config" becomes
+// the grid description plus a host note; every other top-level key (the
+// embedded baselines, before blocks and notes) is data carried over
+// untouched.
+func recordBench(b *testing.B, layer, name string, config map[string]any, metrics map[string]float64) {
+	b.Helper()
+	path := "BENCH_" + layer + ".json"
+	doc := map[string]json.RawMessage{}
+	if data, err := os.ReadFile(path); err == nil {
+		_ = json.Unmarshal(data, &doc) // corrupt artifact: rebuild from scratch
+	}
+	rows := map[string]json.RawMessage{}
+	if prev, ok := doc["after"]; ok {
+		_ = json.Unmarshal(prev, &rows)
+	}
+	set := func(m map[string]json.RawMessage, key string, v any) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m[key] = raw
+	}
+	procs := runtime.GOMAXPROCS(0)
+	metrics["gomaxprocs"] = float64(procs)
+	config["host"] = fmt.Sprintf("%s/%s, NumCPU %d, %s",
+		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version())
+	set(rows, fmt.Sprintf("%s/gomaxprocs=%d", name, procs), metrics)
+	set(doc, "config", config)
+	set(doc, "after", rows)
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		b.Logf("%s not written: %v", path, err)
+	}
+}
+
+// runCase runs one grid case as a sub-benchmark, starting it under the
+// first -cpu value. The harness times a case's first iteration before it
+// applies -cpu, under whatever GOMAXPROCS the previous case left, and
+// keeps that iteration alone when it outlasts -benchtime: without the
+// reset, a -cpu 1,2 run records a slow case (n4096) twice at 2 and
+// never at 1.
+func runCase(b *testing.B, name string, f func(b *testing.B)) {
+	if cpu := flag.Lookup("test.cpu"); cpu != nil {
+		if first, err := strconv.Atoi(strings.Split(cpu.Value.String(), ",")[0]); err == nil {
+			runtime.GOMAXPROCS(first)
+		}
+	}
+	b.Run(name, f)
+}
+
 // coreBenchCases is the cells/sec grid: topology sizes n ∈ {64 .. 4096}
 // across the three operating modes. The first case (n64/rg) is the
 // historical BenchmarkCoreCellsPerSecond configuration and the PR-to-PR
@@ -297,68 +357,16 @@ var coreBenchCases = []struct {
 	{"n4096/direct", 4096, 64, 8000, core.ModeDirect},
 }
 
-// coreBenchRecord is one measured row of BENCH_core.json. GOMAXPROCS is
-// part of the record because the garbage collector runs on spare CPUs,
-// so even the serial core's rows change with it.
-type coreBenchRecord struct {
-	NsPerOp    float64 `json:"ns_per_op"`
-	CellsSec   float64 `json:"cells_per_sec"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-}
-
-// writeBenchCore merges freshly measured rows into BENCH_core.json,
-// preserving rows from earlier (possibly partial) runs and the
-// baseline_pre_optimization block. Before this existed, running a subset
-// of the grid (`-bench .../n64`) silently dropped every other row from
-// the artifact.
-func writeBenchCore(b *testing.B, after map[string]coreBenchRecord) {
-	b.Helper()
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile("BENCH_core.json"); err == nil {
-		_ = json.Unmarshal(data, &doc) // corrupt artifact: rebuild from scratch
-	}
-	rows := map[string]json.RawMessage{}
-	if prev, ok := doc["after"]; ok {
-		_ = json.Unmarshal(prev, &rows)
-	}
-	for name, rec := range after {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows[name] = raw
-	}
-	set := func(key string, v interface{}) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		doc[key] = raw
-	}
-	set("benchmark", "BenchmarkCoreCellsPerSecond")
-	set("config", map[string]interface{}{
-		"load": 0.9, "q": 4, "rate_gbps": 400, "seed": 1,
-		"note": "grouped(n, ports, 1) schedule; flows per coreBenchCases",
-	})
-	set("baseline_pre_optimization", coreBenchBaseline)
-	set("after", rows)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_core.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_core.json not written: %v", err)
-	}
-}
-
 func BenchmarkCoreCellsPerSecond(b *testing.B) {
 	// End-to-end simulator throughput: cells simulated per wall second,
-	// across topology sizes and operating modes. Running any subset of
-	// the grid updates the matching rows of BENCH_core.json in place
-	// (writeBenchCore).
-	after := make(map[string]coreBenchRecord)
+	// across topology sizes and operating modes. Each case updates its
+	// row of BENCH_core.json (recordBench).
+	config := map[string]any{
+		"load": 0.9, "q": 4, "rate_gbps": 400, "seed": 1,
+		"note": "grouped(n, ports, 1) schedule; flows per coreBenchCases",
+	}
 	for _, tc := range coreBenchCases {
-		b.Run(tc.name, func(b *testing.B) {
+		runCase(b, tc.name, func(b *testing.B) {
 			if tc.n >= 4096 && os.Getenv("SIRIUS_N4096") == "" {
 				// A single n4096 iteration takes seconds and allocates
 				// the n² queue state; the CI n4096-smoke job opts in
@@ -395,36 +403,15 @@ func BenchmarkCoreCellsPerSecond(b *testing.B) {
 			}
 			cellsSec := float64(cells*int64(b.N)) / b.Elapsed().Seconds()
 			b.ReportMetric(cellsSec, "cells/s")
-			after[tc.name] = coreBenchRecord{
-				NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				CellsSec:   cellsSec,
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-			}
+			recordBench(b, "core", tc.name, config, map[string]float64{
+				"ns_per_op":     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+				"cells_per_sec": cellsSec,
+			})
 		})
 	}
-	if len(after) == 0 {
-		return
-	}
-	writeBenchCore(b, after)
 }
 
-// coreBenchBaseline records the grid measured at the pre-optimization
-// commit (the parent of this PR) on the same machine the "after" numbers
-// in BENCH_core.json were taken on. Kept in code so regenerating the
-// artifact preserves the before/after comparison.
-var coreBenchBaseline = map[string]map[string]float64{
-	"n64/rg":       {"ns_per_op": 56275626, "cells_per_sec": 2843552},
-	"n64/ideal":    {"ns_per_op": 25413214, "cells_per_sec": 6296928},
-	"n64/direct":   {"ns_per_op": 45517868, "cells_per_sec": 3515627},
-	"n256/rg":      {"ns_per_op": 183285843, "cells_per_sec": 873062},
-	"n256/ideal":   {"ns_per_op": 99525653, "cells_per_sec": 1607838},
-	"n256/direct":  {"ns_per_op": 262773536, "cells_per_sec": 608962},
-	"n1024/rg":     {"ns_per_op": 1630050682, "cells_per_sec": 190906},
-	"n1024/ideal":  {"ns_per_op": 824097422, "cells_per_sec": 377609},
-	"n1024/direct": {"ns_per_op": 3661755202, "cells_per_sec": 84983},
-}
-
-// ---- The flow-level layer: fluid solver and dc composition ----
+// ---- The flow-level layer: fluid solver ----
 
 // fluidBenchCases is the flows/sec grid for the max-min fluid solver:
 // fabric sizes n ∈ {32, 128, 512} across the non-blocking and 3:1
@@ -446,43 +433,16 @@ var fluidBenchCases = []struct {
 	{"n512/ideal", 512, 0, 1, 8000, 0.8},
 }
 
-// benchRecord is one measured grid cell of a BENCH_*.json artifact.
-type benchRecord struct {
-	NsPerOp  float64 `json:"ns_per_op"`
-	FlowsSec float64 `json:"flows_per_sec"`
-}
-
-// writeBenchFluid merges the given sections into BENCH_fluid.json,
-// preserving sections written by the other flow-level benchmarks (the
-// fluid grid and the dc serial/parallel comparison both live in the one
-// artifact).
-func writeBenchFluid(b *testing.B, section string, payload interface{}) {
-	b.Helper()
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile("BENCH_fluid.json"); err == nil {
-		_ = json.Unmarshal(data, &doc) // corrupt artifact: rebuild from scratch
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc[section] = raw
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fluid.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_fluid.json not written: %v", err)
-	}
-}
-
 func BenchmarkFluidFlowsPerSecond(b *testing.B) {
 	// End-to-end solver throughput: flows simulated per wall second across
-	// fabric sizes and variants. Running the full grid also rewrites the
-	// "fluid" section of BENCH_fluid.json (only the cases that ran).
-	after := make(map[string]benchRecord)
+	// fabric sizes and variants. Each case updates its row of
+	// BENCH_fluid.json.
+	config := map[string]any{
+		"load": 0.8, "rate_gbps": 400, "workload_seed": 11,
+		"note": "uniform Poisson/Pareto workload per fluidBenchCases; base RTT 1us",
+	}
 	for _, tc := range fluidBenchCases {
-		b.Run(tc.name, func(b *testing.B) {
+		runCase(b, tc.name, func(b *testing.B) {
 			wcfg := workload.DefaultConfig(tc.n, 400*simtime.Gbps, tc.load, tc.flows)
 			wcfg.Seed = 11
 			flows, err := workload.Generate(wcfg)
@@ -504,137 +464,12 @@ func BenchmarkFluidFlowsPerSecond(b *testing.B) {
 			}
 			flowsSec := float64(int64(tc.flows)*int64(b.N)) / b.Elapsed().Seconds()
 			b.ReportMetric(flowsSec, "flows/s")
-			after[tc.name] = benchRecord{
-				NsPerOp:  float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				FlowsSec: flowsSec,
-			}
+			recordBench(b, "fluid", tc.name, config, map[string]float64{
+				"ns_per_op":     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+				"flows_per_sec": flowsSec,
+			})
 		})
 	}
-	if len(after) == 0 {
-		return
-	}
-	writeBenchFluid(b, "fluid", map[string]interface{}{
-		"benchmark": "BenchmarkFluidFlowsPerSecond",
-		"config": map[string]interface{}{
-			"load": 0.8, "rate_gbps": 400, "workload_seed": 11,
-			"note": "uniform Poisson/Pareto workload per fluidBenchCases; base RTT 1us",
-		},
-		"baseline_pre_optimization": fluidBenchBaseline,
-		"after":                     after,
-	})
-}
-
-// dcBenchWorkload builds the rack-heavy server-level workload used by the
-// dc composition benchmarks: most traffic stays inside its rack so the
-// per-rack fluid fan-out dominates the run.
-func dcBenchWorkload(b *testing.B) (dc.Config, []workload.Flow) {
-	b.Helper()
-	cfg := dc.DefaultConfig(16)
-	cfg.ServersPerRack = 8
-	cfg.ServerRate = 25 * simtime.Gbps
-	r := rng.New(5)
-	servers := cfg.Servers()
-	flows := make([]workload.Flow, 6000)
-	var at simtime.Time
-	for i := range flows {
-		at = at.Add(simtime.Duration(r.Intn(1500)) * simtime.Nanosecond)
-		src := r.Intn(servers)
-		var dst int
-		if r.Intn(16) == 0 { // 1-in-16 crosses the fabric
-			dst = r.Intn(servers - 1)
-			if dst >= src {
-				dst++
-			}
-		} else { // intra-rack
-			rack := src / cfg.ServersPerRack
-			dst = rack*cfg.ServersPerRack + r.Intn(cfg.ServersPerRack-1)
-			if dst >= src {
-				dst++
-			}
-		}
-		flows[i] = workload.Flow{ID: i, Src: src, Dst: dst,
-			Bytes: 2000 + r.Intn(80_000), Arrival: at}
-	}
-	return cfg, flows
-}
-
-// BenchmarkDCSerial is the 1-worker reference for BenchmarkDCParallel.
-func BenchmarkDCSerial(b *testing.B) {
-	cfg, flows := dcBenchWorkload(b)
-	cfg.Parallel = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dc.Run(cfg, flows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDCParallel measures the rack-parallel dc composition against
-// its own serial reference and records the comparison in the "dc" section
-// of BENCH_fluid.json.
-//
-// Honesty rule (as BenchmarkSweepParallel): a speedup is only claimed
-// when the host actually grants more than one worker. On a single-CPU
-// machine serial and "parallel" differ only by scheduling noise, so the
-// artifact records speedup 1.0 and says why.
-func BenchmarkDCParallel(b *testing.B) {
-	cfg, flows := dcBenchWorkload(b)
-	workers := runtime.GOMAXPROCS(0)
-	measure := func(parallel int) time.Duration {
-		pcfg := cfg
-		pcfg.Parallel = parallel
-		start := time.Now()
-		if _, err := dc.Run(pcfg, flows); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-
-	// One serial/parallel pair outside the timed loop for the JSON record.
-	serial := measure(1)
-	parallel := measure(workers)
-	rec := map[string]interface{}{
-		"benchmark":          "BenchmarkDCParallel",
-		"workload":           "16 racks x 8 servers, 6000 flows, 1-in-16 inter-rack, rng seed 5",
-		"workers":            workers,
-		"serial_ns":          serial.Nanoseconds(),
-		"parallel_ns":        parallel.Nanoseconds(),
-		"baseline_serial_ns": dcBenchBaselineSerialNs,
-		"baseline_note":      "serial composition at the pre-rewrite commit (old fluid solver, serial rack loop), same machine",
-	}
-	if workers > 1 {
-		speedup := float64(serial) / float64(parallel)
-		rec["speedup"] = speedup
-		b.ReportMetric(speedup, "speedup")
-	} else {
-		rec["speedup"] = 1.0
-		rec["note"] = "GOMAXPROCS=1: serial and parallel runs are the same schedule; no speedup claimed"
-	}
-	writeBenchFluid(b, "dc", rec)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		measure(workers)
-	}
-}
-
-// dcBenchBaselineSerialNs is the wall time of one dcBenchWorkload run at
-// the pre-rewrite commit (serial rack loop over the map-based fluid
-// solver), measured on the same machine as the BENCH_fluid.json numbers.
-const dcBenchBaselineSerialNs = 14568572
-
-// fluidBenchBaseline records the grid measured at the pre-rewrite commit
-// (the parent of this PR) on the same machine the "after" numbers in
-// BENCH_fluid.json were taken on: the map[int]*flowState event loop with
-// per-event full progressive-filling rebuilds. Kept in code so
-// regenerating the artifact preserves the before/after comparison.
-var fluidBenchBaseline = map[string]map[string]float64{
-	"n32/ideal":  {"ns_per_op": 50693941, "flows_per_sec": 39453},
-	"n32/osub3":  {"ns_per_op": 63304249, "flows_per_sec": 31594},
-	"n128/ideal": {"ns_per_op": 128991709, "flows_per_sec": 31010},
-	"n128/osub3": {"ns_per_op": 140473420, "flows_per_sec": 28475},
-	"n512/ideal": {"ns_per_op": 4755979879, "flows_per_sec": 1682},
 }
 
 // ---- The live wire fabric (internal/wire) ----
@@ -662,88 +497,21 @@ var wireBenchCases = []struct {
 	{"n256/p562", 256, 2, 562, 0},
 }
 
-// wireBenchRecord is one measured row of the BENCH_wire.json frames/s
-// grid. Batch and GOMAXPROCS are part of the record: a throughput number
-// without its coalescing policy and parallelism is not interpretable.
-type wireBenchRecord struct {
-	NsPerOp    float64 `json:"ns_per_op"`
-	FramesSec  float64 `json:"frames_per_sec"`
-	Batch      int     `json:"batch"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-}
-
-// writeBenchWire merges the freshly measured frames/s rows into the
-// "frames_per_second" section of BENCH_wire.json, preserving the
-// corruption-path baselines (baseline_global_lock_bernoulli /
-// after_per_port_substreams_geometric_skip) recorded by earlier PRs and
-// any grid rows from previous partial runs.
-func writeBenchWire(b *testing.B, after map[string]wireBenchRecord) {
-	b.Helper()
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile("BENCH_wire.json"); err == nil {
-		_ = json.Unmarshal(data, &doc) // corrupt artifact: rebuild from scratch
-	}
-	section := map[string]json.RawMessage{}
-	if prev, ok := doc["frames_per_second"]; ok {
-		_ = json.Unmarshal(prev, &section)
-	}
-	rows := map[string]json.RawMessage{}
-	if prev, ok := section["after_zero_copy_batched_writers"]; ok {
-		_ = json.Unmarshal(prev, &rows)
-	}
-	for name, rec := range after {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows[name] = raw
-	}
-	set := func(key string, v interface{}) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		section[key] = raw
-	}
-	set("benchmark", "BenchmarkWireFramesPerSecond")
-	set("config", map[string]interface{}{
+// BenchmarkWireFramesPerSecond measures end-to-end fabric throughput:
+// frames routed through the emulator per wall second, with every node
+// transmitting, receiving and PRBS-verifying concurrently on loopback.
+// Each case updates its row of BENCH_wire.json, which records the batch
+// policy: a throughput number without its coalescing policy and
+// parallelism is not interpretable.
+func BenchmarkWireFramesPerSecond(b *testing.B) {
+	config := map[string]any{
 		"fabric": "loopback TCP AWGR emulator, one process, wireBenchCases grid",
 		"note": "routed frames per wall second, whole fabric (emulator + n nodes); " +
 			"batch 0 = default policy (16 frames / 32KiB / 500us idle), batch 1 = per-frame writes; " +
 			"n256 has no pre-change baseline (the fabric was capped at 255 nodes before this grid)",
-	})
-	set("baseline_pre_batching", wireBenchBaseline)
-	set("after_zero_copy_batched_writers", rows)
-	set("summary", "The overhaul replaces per-frame allocation with reusable "+
-		"read buffers (ReadFrameInto), rewrites the 5-byte header in place "+
-		"instead of rebuilding frames, coalesces deliveries into per-output-"+
-		"port batch writes, moves the PRBS generator to a byte-at-a-time "+
-		"step, and alias-decodes received cells. On one vCPU the 64-node "+
-		"562B row goes from 38.7k to ~155k frames/s (4.0x) and the fabric "+
-		"now scales to the 256-port wire-format limit.")
-	raw, err := json.Marshal(section)
-	if err != nil {
-		b.Fatal(err)
 	}
-	doc["frames_per_second"] = raw
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_wire.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_wire.json not written: %v", err)
-	}
-}
-
-// BenchmarkWireFramesPerSecond measures end-to-end fabric throughput:
-// frames routed through the emulator per wall second, with every node
-// transmitting, receiving and PRBS-verifying concurrently on loopback.
-// Running any subset of the grid updates the matching rows of
-// BENCH_wire.json in place (writeBenchWire).
-func BenchmarkWireFramesPerSecond(b *testing.B) {
-	after := make(map[string]wireBenchRecord)
 	for _, tc := range wireBenchCases {
-		b.Run(tc.name, func(b *testing.B) {
+		runCase(b, tc.name, func(b *testing.B) {
 			var routed int64
 			for i := 0; i < b.N; i++ {
 				fs, err := wire.RunPrototypeCfg(wire.PrototypeConfig{
@@ -766,31 +534,13 @@ func BenchmarkWireFramesPerSecond(b *testing.B) {
 			if batch == 0 {
 				batch = wire.DefaultBatchFrames
 			}
-			after[tc.name] = wireBenchRecord{
-				NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				FramesSec:  framesSec,
-				Batch:      batch,
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-			}
+			recordBench(b, "wire", tc.name, config, map[string]float64{
+				"ns_per_op":      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+				"frames_per_sec": framesSec,
+				"batch":          float64(batch),
+			})
 		})
 	}
-	if len(after) == 0 {
-		return
-	}
-	writeBenchWire(b, after)
-}
-
-// wireBenchBaseline records the grid measured at the pre-overhaul commit
-// (per-frame ReadFrame allocation, frame rebuild + copy in routeFrom,
-// one locked conn.Write per delivered frame, bit-at-a-time PRBS) on the
-// same machine as the "after" rows. n256 rows have no baseline: the
-// fabric rejected more than 255 nodes before this change. Kept in code
-// so regenerating the artifact preserves the before/after comparison.
-var wireBenchBaseline = map[string]map[string]float64{
-	"n4/p64":   {"ns_per_op": 22435256, "frames_per_sec": 142639, "gomaxprocs": 1},
-	"n4/p562":  {"ns_per_op": 81519476, "frames_per_sec": 39255, "gomaxprocs": 1},
-	"n64/p64":  {"ns_per_op": 201220276, "frames_per_sec": 162847, "gomaxprocs": 1},
-	"n64/p562": {"ns_per_op": 847404769, "frames_per_sec": 38669, "gomaxprocs": 1},
 }
 
 func BenchmarkWorkloadGenerate(b *testing.B) {
@@ -849,70 +599,34 @@ func BenchmarkServerLevel(b *testing.B) {
 // ---- The sweep engine (internal/sweep) ----
 
 // BenchmarkSweepParallel measures the fig9 sweep on the parallel engine
-// (GOMAXPROCS workers, no cache) and, once per run, times a serial
-// reference sweep — both as benchmark metrics and as BENCH_sweep.json,
-// seeding the repo's performance trajectory.
-//
-// Honesty rule: a speedup is only claimed when the host actually grants
-// more than one worker. On a single-CPU machine serial and "parallel"
-// differ only by scheduling noise, so the artifact records speedup 1.0
-// and says why, rather than laundering noise into a ratio.
-func BenchmarkSweepParallel(b *testing.B) {
-	s := exp.TinyScale()
-	loads := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0}
-	workers := runtime.GOMAXPROCS(0)
-	measure := func(parallel int) time.Duration {
-		start := time.Now()
-		rn := &sweep.Runner{Parallel: parallel, RootSeed: s.Seed}
-		if _, err := exp.Fig9(context.Background(), rn, s, loads); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
+// (GOMAXPROCS workers, no cache); BenchmarkSweepSerial is its 1-worker
+// reference. Their rows of BENCH_sweep.json at one gomaxprocs give the
+// speedup.
+func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, "parallel", runtime.GOMAXPROCS(0)) }
 
-	// One serial/parallel pair outside the timed loop for the JSON record.
-	serial := measure(1)
-	parallel := measure(workers)
-	rec := map[string]interface{}{
-		"benchmark":   "BenchmarkSweepParallel",
-		"sweep":       "fig9/tiny",
-		"points":      len(loads),
-		"workers":     workers,
-		"serial_ns":   serial.Nanoseconds(),
-		"parallel_ns": parallel.Nanoseconds(),
-	}
-	if workers > 1 {
-		speedup := float64(serial) / float64(parallel)
-		rec["speedup"] = speedup
-		b.ReportMetric(speedup, "speedup")
-	} else {
-		rec["speedup"] = 1.0
-		rec["note"] = "GOMAXPROCS=1: serial and parallel runs are the same schedule; no speedup claimed"
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sweep.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_sweep.json not written: %v", err)
-	}
+func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, "serial", 1) }
 
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		measure(workers)
-	}
-}
-
-// BenchmarkSweepSerial is the 1-worker reference for BenchmarkSweepParallel.
-func BenchmarkSweepSerial(b *testing.B) {
+// benchSweep runs the tiny fig9 sweep on the given number of workers and
+// records it as the named row of BENCH_sweep.json.
+func benchSweep(b *testing.B, name string, workers int) {
 	s := exp.TinyScale()
 	loads := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0}
 	for i := 0; i < b.N; i++ {
-		rn := &sweep.Runner{Parallel: 1, RootSeed: s.Seed}
+		rn := &sweep.Runner{Parallel: workers, RootSeed: s.Seed}
 		if _, err := exp.Fig9(context.Background(), rn, s, loads); err != nil {
 			b.Fatal(err)
 		}
 	}
+	pointsSec := float64(len(loads)*b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(pointsSec, "points/s")
+	recordBench(b, "sweep", name, map[string]any{
+		"sweep": "fig9/tiny", "loads": loads,
+		"note": "parallel = GOMAXPROCS workers, serial = 1 worker; no cache",
+	}, map[string]float64{
+		"ns_per_op":      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		"points_per_sec": pointsSec,
+		"workers":        float64(workers),
+	})
 }
 
 // BenchmarkSweepCacheWarm measures replaying a fully memoized sweep —
@@ -1006,60 +720,6 @@ func hotspotDemand(n int, r *rng.RNG) []int32 {
 	return demand
 }
 
-// schedBenchRecord is one measured row of BENCH_sched.json. A matching
-// is one fabric-wide slot assignment, so matchings/s = plans/s × epoch
-// slots; reconfig_slots_per_epoch is the dark link-slots the family
-// charged per Plan on this workload (static is 0 by construction).
-type schedBenchRecord struct {
-	NsPerPlan             float64 `json:"ns_per_plan"`
-	MatchingsSec          float64 `json:"matchings_per_sec"`
-	ReconfigSlotsPerEpoch float64 `json:"reconfig_slots_per_epoch"`
-	GOMAXPROCS            int     `json:"gomaxprocs"`
-}
-
-// writeBenchSched merges freshly measured rows into BENCH_sched.json,
-// preserving rows from earlier (possibly partial) runs — the same
-// discipline as writeBenchCore.
-func writeBenchSched(b *testing.B, after map[string]schedBenchRecord) {
-	b.Helper()
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile("BENCH_sched.json"); err == nil {
-		_ = json.Unmarshal(data, &doc) // corrupt artifact: rebuild from scratch
-	}
-	rows := map[string]json.RawMessage{}
-	if prev, ok := doc["after"]; ok {
-		_ = json.Unmarshal(prev, &rows)
-	}
-	for name, rec := range after {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows[name] = raw
-	}
-	set := func(key string, v interface{}) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		doc[key] = raw
-	}
-	set("benchmark", "BenchmarkSchedulerPlans")
-	set("config", map[string]interface{}{
-		"seed": 1, "reconfig_slots": 1,
-		"demand": "family/nN: uniform random 0..7 cells per pair; family/nN/hotspot: ~0.2% of pairs non-zero, half the cells to node 0",
-		"note":   "uplinks = n/ports, epoch = ports slots; matchings/s = plans/s x epoch slots",
-	})
-	set("after", rows)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sched.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_sched.json not written: %v", err)
-	}
-}
-
 // benchPlanner builds a fresh planner for one schedBenchCases row.
 func benchPlanner(b *testing.B, family string, n, ports int) core.Planner {
 	b.Helper()
@@ -1096,13 +756,20 @@ func benchPlanner(b *testing.B, family string, n, ports int) core.Planner {
 
 func BenchmarkSchedulerPlans(b *testing.B) {
 	// Pure planning throughput: epochs planned per wall second for each
-	// scheduler family, outside the simulator. Running any subset of the
-	// grid updates the matching rows of BENCH_sched.json in place.
-	after := make(map[string]schedBenchRecord)
+	// scheduler family, outside the simulator. Each case updates its row
+	// of BENCH_sched.json. A matching is one fabric-wide slot assignment,
+	// so matchings/s = plans/s × epoch slots; reconfig_slots_per_epoch is
+	// the dark link-slots the family charged per Plan (static is 0 by
+	// construction).
+	config := map[string]any{
+		"seed": 1, "reconfig_slots": 1,
+		"demand": "family/nN: uniform random 0..7 cells per pair; family/nN/hotspot: ~0.2% of pairs non-zero, half the cells to node 0",
+		"note":   "uplinks = n/ports, epoch = ports slots; matchings/s = plans/s x epoch slots",
+	}
 	for _, tc := range schedBenchCases {
 		for _, dm := range schedBenchDemands {
 			name := fmt.Sprintf("%s/n%d%s", tc.family, tc.n, dm.suffix)
-			b.Run(name, func(b *testing.B) {
+			runCase(b, name, func(b *testing.B) {
 				p := benchPlanner(b, tc.family, tc.n, tc.ports)
 				demand := dm.gen(tc.n, rng.New(1))
 				dst := make([]int32, p.SlotsPerEpoch()*tc.n*p.Uplinks())
@@ -1114,17 +781,12 @@ func BenchmarkSchedulerPlans(b *testing.B) {
 				b.StopTimer()
 				plansSec := float64(b.N) / b.Elapsed().Seconds()
 				b.ReportMetric(plansSec*float64(p.SlotsPerEpoch()), "matchings/s")
-				after[name] = schedBenchRecord{
-					NsPerPlan:             float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-					MatchingsSec:          plansSec * float64(p.SlotsPerEpoch()),
-					ReconfigSlotsPerEpoch: float64(reconfig) / float64(b.N),
-					GOMAXPROCS:            runtime.GOMAXPROCS(0),
-				}
+				recordBench(b, "sched", name, config, map[string]float64{
+					"ns_per_plan":              float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+					"matchings_per_sec":        plansSec * float64(p.SlotsPerEpoch()),
+					"reconfig_slots_per_epoch": float64(reconfig) / float64(b.N),
+				})
 			})
 		}
 	}
-	if len(after) == 0 {
-		return
-	}
-	writeBenchSched(b, after)
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sirius/internal/telemetry"
 )
 
 // freePort reserves an ephemeral TCP address and releases it for the
@@ -45,6 +47,9 @@ func TestClusterCLIEndToEnd(t *testing.T) {
 	perfOut := filepath.Join(dir, "perf.json")
 	manifestOut := filepath.Join(dir, "manifest.json")
 	addr := freePort(t)
+	// The registry is process-wide and outlives this run (-count=N), so
+	// the counters below are deltas from this snapshot.
+	before := telemetry.Default.Snapshot()
 
 	// One stdout capture around the whole scenario: only the coordinator
 	// prints the table; workers write to stderr alone.
@@ -103,8 +108,8 @@ func TestClusterCLIEndToEnd(t *testing.T) {
 		t.Errorf("cluster output diverges from serial output\ncluster:\n%s\nserial:\n%s", clusterOut, serialOut)
 	}
 
-	// The crash is observable: the telemetry snapshot counts >= 1
-	// reclaimed lease and every point completed.
+	// The crash is observable: this run's telemetry counts >= 1 reclaimed
+	// lease and every point completed.
 	var tel struct {
 		Counters []struct {
 			Name  string `json:"name"`
@@ -121,6 +126,9 @@ func TestClusterCLIEndToEnd(t *testing.T) {
 	counters := map[string]int64{}
 	for _, c := range tel.Counters {
 		counters[c.Name] += c.Value
+	}
+	for name := range counters {
+		counters[name] -= before.CounterTotal(name)
 	}
 	if counters["sirius_cluster_leases_reclaimed_total"] < 1 {
 		t.Errorf("reclaimed = %d, want >= 1 (crashed worker held a lease)", counters["sirius_cluster_leases_reclaimed_total"])

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sirius/internal/sweep"
@@ -105,18 +106,31 @@ type Coordinator struct {
 	finished bool
 	closed   bool
 
-	ctrGranted    *telemetry.Counter
-	ctrExpired    *telemetry.Counter
-	ctrReclaimed  *telemetry.Counter
-	ctrCompleted  *telemetry.Counter
-	ctrDuplicate  *telemetry.Counter
-	ctrRegistered *telemetry.Counter
+	ctrGranted    *leaseCounter
+	ctrExpired    *leaseCounter
+	ctrReclaimed  *leaseCounter
+	ctrCompleted  *leaseCounter
+	ctrDuplicate  *leaseCounter
+	ctrRegistered *leaseCounter
 	gWorkers      *telemetry.Gauge
 	gPending      *telemetry.Gauge
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
 }
+
+// leaseCounter is one count of a coordinator's lease accounting. Value
+// reports this coordinator's own count; every increment also lands in
+// the registry's series, which stays cumulative across the coordinators
+// of a process.
+type leaseCounter struct {
+	own    atomic.Int64
+	series *telemetry.Counter
+}
+
+func (c *leaseCounter) Add(n int64)  { c.own.Add(n); c.series.Add(n) }
+func (c *leaseCounter) Inc()         { c.Add(1) }
+func (c *leaseCounter) Value() int64 { return c.own.Load() }
 
 // NewCoordinator listens on addr (e.g. ":9070" or "127.0.0.1:0") and
 // starts accepting workers. The coordinator runs until Close.
@@ -135,6 +149,7 @@ func NewCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
 	reg := cfg.Registry
+	counter := func(name string) *leaseCounter { return &leaseCounter{series: reg.Counter(name)} }
 	c := &Coordinator{
 		cfg:      cfg,
 		ln:       ln,
@@ -143,12 +158,12 @@ func NewCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 		lost:     make(map[string]map[pointID]struct{}),
 		partials: make(map[string]map[string]*sweep.SweepManifest),
 
-		ctrGranted:    reg.Counter("sirius_cluster_leases_granted_total"),
-		ctrExpired:    reg.Counter("sirius_cluster_leases_expired_total"),
-		ctrReclaimed:  reg.Counter("sirius_cluster_leases_reclaimed_total"),
-		ctrCompleted:  reg.Counter("sirius_cluster_points_completed_total"),
-		ctrDuplicate:  reg.Counter("sirius_cluster_results_duplicate_total"),
-		ctrRegistered: reg.Counter("sirius_cluster_workers_registered_total"),
+		ctrGranted:    counter("sirius_cluster_leases_granted_total"),
+		ctrExpired:    counter("sirius_cluster_leases_expired_total"),
+		ctrReclaimed:  counter("sirius_cluster_leases_reclaimed_total"),
+		ctrCompleted:  counter("sirius_cluster_points_completed_total"),
+		ctrDuplicate:  counter("sirius_cluster_results_duplicate_total"),
+		ctrRegistered: counter("sirius_cluster_workers_registered_total"),
 		gWorkers:      reg.Gauge("sirius_cluster_workers"),
 		gPending:      reg.Gauge("sirius_cluster_points_pending"),
 
@@ -245,7 +260,8 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// Stats is a snapshot of the coordinator's lease accounting.
+// Stats is a snapshot of the coordinator's lease accounting: this
+// coordinator's own counts, whatever else shares its registry.
 type Stats struct {
 	Granted     int64
 	Expired     int64

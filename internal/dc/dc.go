@@ -23,8 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sirius/internal/core"
@@ -54,13 +52,6 @@ type Config struct {
 	// per server).
 	LocalCells int
 	Seed       uint64
-	// Parallel bounds how many intra-rack fluid simulations run
-	// concurrently: 0 picks GOMAXPROCS, 1 forces the serial path. The
-	// racks are independent systems and their results are merged in
-	// rack-index order either way, so the parallel composition is
-	// byte-identical to the serial one (pinned by
-	// TestParallelMatchesSerial and the golden fixtures).
-	Parallel int
 }
 
 // DefaultConfig mirrors the paper's §7 deployment shape at the given
@@ -213,11 +204,8 @@ func RunContext(ctx context.Context, cfg Config, flows []workload.Flow) (*Result
 	}
 	var windowBytes int64
 
-	// Intra-rack traffic: per-rack max-min sharing of server NICs. The
-	// racks are independent systems, so their fluid simulations fan out
-	// over a bounded worker pool; the results land in a rack-indexed
-	// slice and are folded below in rack order, making the parallel
-	// composition byte-identical to a serial run.
+	// Intra-rack traffic: per-rack max-min sharing of server NICs,
+	// folded in rack order.
 	rackRes, err := runRacks(ctx, cfg, intraByRack)
 	if err != nil {
 		return nil, err
@@ -240,13 +228,7 @@ func RunContext(ctx context.Context, cfg Config, flows []workload.Flow) (*Result
 	if len(inter) > 0 {
 		groups := cfg.Racks / cfg.GratingPorts
 		uplinks := int(math.Round(float64(groups) * cfg.UplinkMultiplier))
-		var sched schedule.Schedule
-		var err error
-		if uplinks%groups == 0 {
-			sched, err = schedule.NewGrouped(cfg.Racks, cfg.GratingPorts, uplinks/groups)
-		} else {
-			sched, err = schedule.NewRotor(cfg.Racks, uplinks)
-		}
+		sched, err := schedule.New(cfg.Racks, cfg.GratingPorts, uplinks)
 		if err != nil {
 			return nil, err
 		}
@@ -317,12 +299,9 @@ func rackFluid(ctx context.Context, cfg Config, fl []workload.Flow) (*fluid.Resu
 	}, fl)
 }
 
-// runRacks executes the per-rack intra-rack simulations, serially or on a
-// bounded worker pool per cfg.Parallel, and returns the results indexed
-// by rack (nil for racks without intra-rack traffic). Each rack is an
-// independent simulation with its own engine state, so execution order
-// cannot affect any rack's output; the caller folds the slice in rack
-// order, so the merged result is identical regardless of worker count.
+// runRacks executes the per-rack intra-rack simulations in rack order
+// and returns the results indexed by rack (nil for racks without
+// intra-rack traffic).
 func runRacks(ctx context.Context, cfg Config, intraByRack [][]workload.Flow) ([]*fluid.Results, error) {
 	work := make([]int, 0, len(intraByRack))
 	for rack, fl := range intraByRack {
@@ -333,66 +312,17 @@ func runRacks(ctx context.Context, cfg Config, intraByRack [][]workload.Flow) ([
 	statRackRuns.Add(int64(len(work)))
 	telemetry.Default.Counter("sirius_dc_rack_runs_total").Add(int64(len(work)))
 	out := make([]*fluid.Results, len(intraByRack))
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(work) {
-		workers = len(work)
-	}
-	telemetry.Default.Gauge("sirius_dc_rack_workers").SetInt(int64(workers))
-	if workers <= 1 {
-		// Serial path: poll ctx between racks so a cancelled sweep stops
-		// at a rack boundary even when individual racks are tiny.
-		for _, rack := range work {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := rackFluid(ctx, cfg, intraByRack[rack])
-			if err != nil {
-				return nil, fmt.Errorf("dc: rack %d intra traffic: %w", rack, err)
-			}
-			out[rack] = r
-		}
-		return out, nil
-	}
-	// Parallel path: racks are handed out through a buffered index
-	// channel; the first failure cancels the shared context so the
-	// remaining racks abort promptly.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan int, len(work))
+	// Poll ctx between racks so a cancelled sweep stops at a rack
+	// boundary even when individual racks are tiny.
 	for _, rack := range work {
-		jobs <- rack
-	}
-	close(jobs)
-	errs := make([]error, len(intraByRack))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rack := range jobs {
-				r, err := rackFluid(cctx, cfg, intraByRack[rack])
-				if err != nil {
-					errs[rack] = err
-					cancel()
-					continue
-				}
-				out[rack] = r
-			}
-		}()
-	}
-	wg.Wait()
-	// Prefer the caller's cancellation over the induced per-rack ctx
-	// errors, then report the lowest-numbered failing rack.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for rack, err := range errs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := rackFluid(ctx, cfg, intraByRack[rack])
 		if err != nil {
 			return nil, fmt.Errorf("dc: rack %d intra traffic: %w", rack, err)
 		}
+		out[rack] = r
 	}
 	return out, nil
 }

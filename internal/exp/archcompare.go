@@ -47,14 +47,7 @@ func (s Scale) archPlanner(family string) (core.Planner, core.Mode, error) {
 	n, up, slots := s.archGeometry()
 	switch family {
 	case "static":
-		groups := s.Racks / s.GratingPorts
-		var st schedule.Schedule
-		var err error
-		if up%groups == 0 {
-			st, err = schedule.NewGrouped(s.Racks, s.GratingPorts, up/groups)
-		} else {
-			st, err = schedule.NewRotor(s.Racks, up)
-		}
+		st, err := schedule.New(s.Racks, s.GratingPorts, up)
 		if err != nil {
 			return nil, 0, err
 		}

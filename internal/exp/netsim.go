@@ -58,13 +58,7 @@ func (s Scale) runSiriusMutated(ctx context.Context, flows []workload.Flow, muta
 	mutate(&o, &cfg)
 	groups := s.Racks / s.GratingPorts
 	uplinks := int(math.Round(float64(groups) * o.mult))
-	var sched schedule.Schedule
-	var err error
-	if uplinks%groups == 0 {
-		sched, err = schedule.NewGrouped(s.Racks, s.GratingPorts, uplinks/groups)
-	} else {
-		sched, err = schedule.NewRotor(s.Racks, uplinks)
-	}
+	sched, err := schedule.New(s.Racks, s.GratingPorts, uplinks)
 	if err != nil {
 		return nil, err
 	}

@@ -22,16 +22,6 @@ func ServerLevel(ctx context.Context, rn *sweep.Runner, s Scale, serversPerRack 
 		Header: []string{"load", "flows", "intra", "inter",
 			"server_goodput", "short_p99_fct_ms"},
 	}
-	// Parallelism budget: when the sweep itself fans points out across
-	// GOMAXPROCS workers, each point keeps its rack loop serial so the
-	// two levels do not oversubscribe the machine; a serial sweep hands
-	// the whole budget to dc's rack-parallel composition instead. The
-	// result is identical either way (dc's parallel merge is
-	// byte-identical to serial by contract).
-	rackWorkers := 1
-	if rn == nil || rn.Parallel == 1 {
-		rackWorkers = 0 // GOMAXPROCS
-	}
 	pts := make([]sweep.Point, len(loads))
 	for i, load := range loads {
 		load := load
@@ -42,7 +32,6 @@ func ServerLevel(ctx context.Context, rn *sweep.Runner, s Scale, serversPerRack 
 				cfg.GratingPorts = s.GratingPorts
 				cfg.ServersPerRack = serversPerRack
 				cfg.Seed = seed
-				cfg.Parallel = rackWorkers
 				servers := cfg.Servers()
 				// Uniform server-level flows at the requested load against the
 				// aggregate server bandwidth.

@@ -37,8 +37,8 @@ import (
 // Scheduler plans one epoch of matchings at a time. Geometry accessors
 // mirror schedule.Schedule so the core can size its tables; the dynamic
 // part is Plan. Implementations are single-goroutine: the core calls
-// Plan serially from the coordinator, and one Scheduler instance must
-// not be shared between concurrent runs.
+// Plan from its serial slot loop, and one Scheduler instance must not
+// be shared between concurrent runs.
 type Scheduler interface {
 	// Nodes returns the number of nodes.
 	Nodes() int

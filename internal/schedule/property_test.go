@@ -34,6 +34,17 @@ func familyGrid(t *testing.T, n int) []struct {
 		}
 		return r
 	}
+	// mustNew checks which family New picks for the uplink count.
+	mustNew := func(u int, grouped bool) Schedule {
+		s, err := New(n, ports, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(*Grouped); ok != grouped {
+			t.Fatalf("New(%d, %d, %d) = %T, want grouped %v", n, ports, u, s, grouped)
+		}
+		return s
+	}
 	degraded, err := NewDegraded(mustRotor(4), []int{1, n / 2})
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +64,8 @@ func familyGrid(t *testing.T, n int) []struct {
 		{"rotor_frac", mustRotor(3), true},
 		{"degraded", degraded, false},
 		{"compact", compact, true},
+		{"new_grouped", mustNew(2*n/ports, true), true},
+		{"new_rotor", mustNew(n/ports+1, false), true},
 	}
 }
 

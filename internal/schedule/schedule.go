@@ -95,6 +95,21 @@ func NewGrouped(nodes, gratingPorts, multiplicity int) (*Grouped, error) {
 	return &Grouped{nodes: nodes, gratingPorts: gratingPorts, multiplicity: multiplicity}, nil
 }
 
+// New builds the static cyclic schedule for nodes behind
+// gratingPorts-port gratings with uplinks transceivers each: the paper's
+// grouped schedule when the uplinks divide evenly over the
+// nodes/gratingPorts groups, the generalized rotor otherwise (e.g. 1.5x
+// provisioning).
+func New(nodes, gratingPorts, uplinks int) (Schedule, error) {
+	if nodes < 2 || gratingPorts < 1 || nodes%gratingPorts != 0 {
+		return nil, fmt.Errorf("schedule: invalid topology: %d nodes, %d grating ports", nodes, gratingPorts)
+	}
+	if groups := nodes / gratingPorts; uplinks%groups == 0 {
+		return NewGrouped(nodes, gratingPorts, uplinks/groups)
+	}
+	return NewRotor(nodes, uplinks)
+}
+
 // Nodes implements Schedule.
 func (g *Grouped) Nodes() int { return g.nodes }
 

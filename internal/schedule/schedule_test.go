@@ -275,6 +275,12 @@ func TestConstructorErrors(t *testing.T) {
 	if _, err := NewRotor(4, 0); err == nil {
 		t.Error("0-uplink rotor accepted")
 	}
+	if _, err := New(10, 4, 3); err == nil {
+		t.Error("non-divisible groups accepted by New")
+	}
+	if _, err := New(8, 0, 2); err == nil {
+		t.Error("zero grating ports accepted by New")
+	}
 }
 
 func TestGroupedMultiplicityStagger(t *testing.T) {

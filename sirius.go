@@ -148,9 +148,8 @@ func (c Config) NodeBandwidth() simtime.Rate {
 	return simtime.Rate(c.BaseUplinks()) * c.LineRate
 }
 
-// buildSchedule picks the grouped (paper) schedule when the uplink count
-// is an integer multiple of the group count, and the generalized rotor
-// schedule otherwise (e.g. 1.5x).
+// buildSchedule builds the static schedule (schedule.New), degraded
+// around any failed nodes.
 func (c Config) buildSchedule() (schedule.Schedule, error) {
 	if c.Nodes < 2 || c.GratingPorts < 1 || c.Nodes%c.GratingPorts != 0 {
 		return nil, fmt.Errorf("sirius: invalid topology %d nodes / %d grating ports", c.Nodes, c.GratingPorts)
@@ -158,15 +157,7 @@ func (c Config) buildSchedule() (schedule.Schedule, error) {
 	if c.UplinkMultiplier < 1 {
 		return nil, fmt.Errorf("sirius: uplink multiplier %v below 1", c.UplinkMultiplier)
 	}
-	groups := c.Nodes / c.GratingPorts
-	up := c.Uplinks()
-	var sched schedule.Schedule
-	var err error
-	if up%groups == 0 {
-		sched, err = schedule.NewGrouped(c.Nodes, c.GratingPorts, up/groups)
-	} else {
-		sched, err = schedule.NewRotor(c.Nodes, up)
-	}
+	sched, err := schedule.New(c.Nodes, c.GratingPorts, c.Uplinks())
 	if err != nil {
 		return nil, err
 	}
