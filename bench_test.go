@@ -415,9 +415,10 @@ func BenchmarkCoreCellsPerSecond(b *testing.B) {
 
 // fluidBenchCases is the flows/sec grid for the max-min fluid solver:
 // fabric sizes n ∈ {32, 128, 512} across the non-blocking and 3:1
-// oversubscribed variants. The last case (n512/ideal) is the largest and
-// the PR-to-PR comparison anchor; see BENCH_fluid.json for the recorded
-// trajectory.
+// oversubscribed variants, plus n64/osub3, the ESN-OSUB shape of the
+// headline load sweep (64 racks of 8 ports, 144 constraints). The
+// n512/ideal case is the largest and the PR-to-PR comparison anchor; see
+// BENCH_fluid.json for the recorded trajectory.
 var fluidBenchCases = []struct {
 	name    string
 	n       int
@@ -428,6 +429,7 @@ var fluidBenchCases = []struct {
 }{
 	{"n32/ideal", 32, 0, 1, 2000, 0.8},
 	{"n32/osub3", 32, 8, 3, 2000, 0.8},
+	{"n64/osub3", 64, 8, 3, 4000, 0.8},
 	{"n128/ideal", 128, 0, 1, 4000, 0.8},
 	{"n128/osub3", 128, 16, 3, 4000, 0.8},
 	{"n512/ideal", 512, 0, 1, 8000, 0.8},

@@ -35,27 +35,38 @@ func stepDriver(t *testing.T, cfg Config, nflows int, seed uint64) (e *engine, s
 }
 
 // TestEventLoopZeroAlloc pins the zero-allocation contract of the fluid
-// event loop: with the dense flow table, FCT samples and solver scratch
-// all preallocated by newEngine, processing an event (arrival or
-// completion, including the full max-min reallocation) performs no heap
-// allocations — on the linear-scan path and the heap path alike.
+// event loop: with the dense flow table, member lists, FCT samples and
+// solver scratch all preallocated by newEngine, processing an event
+// (arrival or completion, including the full max-min reallocation)
+// performs no heap allocations — at every depth of the bottleneck tree.
+// The depth cases span one to three levels: 16 constraints, fig9's
+// ESN-OSUB shape (144) and 1,024. The scan and heap cases keep the names
+// of the two selection paths the tree replaced.
 func TestEventLoopZeroAlloc(t *testing.T) {
+	rate := 400 * simtime.Gbps
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		depth int
 	}{
-		{"scan_ideal", Config{Endpoints: 32, EndpointRate: 400 * simtime.Gbps,
-			Oversub: 1, BaseRTT: simtime.Microsecond}},
-		{"scan_osub3", Config{Endpoints: 32, EndpointRate: 400 * simtime.Gbps,
-			EndpointsPerRack: 8, Oversub: 3, BaseRTT: simtime.Microsecond}},
-		{"heap_ideal", Config{Endpoints: 128, EndpointRate: 400 * simtime.Gbps,
-			Oversub: 1, BaseRTT: simtime.Microsecond}},
+		{"scan_ideal", Config{Endpoints: 32, EndpointRate: rate,
+			Oversub: 1, BaseRTT: simtime.Microsecond}, 2},
+		{"scan_osub3", Config{Endpoints: 32, EndpointRate: rate,
+			EndpointsPerRack: 8, Oversub: 3, BaseRTT: simtime.Microsecond}, 2},
+		{"heap_ideal", Config{Endpoints: 128, EndpointRate: rate,
+			Oversub: 1, BaseRTT: simtime.Microsecond}, 2},
+		{"depth1_n8", Config{Endpoints: 8, EndpointRate: rate,
+			Oversub: 1, BaseRTT: simtime.Microsecond}, 1},
+		{"depth2_osub3_n64", Config{Endpoints: 64, EndpointRate: rate,
+			EndpointsPerRack: 8, Oversub: 3, BaseRTT: simtime.Microsecond}, 2},
+		{"depth3_n512", Config{Endpoints: 512, EndpointRate: rate,
+			Oversub: 1, BaseRTT: simtime.Microsecond}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e, stepOnce := stepDriver(t, tc.cfg, 3000, 11)
-			if tc.cfg.Endpoints >= 64 != e.useHeap {
-				t.Fatalf("unexpected bottleneck-selection path (useHeap=%v)", e.useHeap)
+			if got := e.tree.depth(); got != tc.depth {
+				t.Fatalf("%d constraints make a tree of depth %d, want %d", e.nCons, got, tc.depth)
 			}
 			// Warm up into the steady state: plenty of arrivals consumed
 			// and completions recorded, far from draining.

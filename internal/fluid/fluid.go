@@ -31,18 +31,18 @@
 //     "virtual finish time" bookkeeping whose float drift, while tiny,
 //     would change completions by ulps. Fusing the min into that
 //     mandatory pass makes next-event selection free.
-//   - The max-min solver keeps per-constraint membership counts AND the
-//     per-constraint fair share caps[c]/counts[c] incrementally (at most
-//     four integer adds and divisions per event), resets solver state
-//     with memcopies, and marks frozen flows with an epoch stamp. Each
-//     progressive-filling round selects its bottleneck from the share
-//     cache — via an indexed min-heap keyed by (share, index) on large
-//     fabrics, a linear compare scan on small ones; both orders are
-//     exactly the reference ascending-index strict-< scan — and freezes
-//     only the flows crossing it, found through per-constraint member
-//     lists (CSR layout) rebuilt per allocation from the exact
-//     membership counts. The steady-state event loop performs zero heap
-//     allocations (pinned by TestEventLoopZeroAlloc).
+//   - The max-min solver keeps, across events, each constraint's
+//     membership count, its fair share caps[c]/counts[c] (at most four
+//     divisions per event), an intrusive linked list of the flows that
+//     cross it, and a 16-way tournament tree over the shares keyed by
+//     (share, index), whose root is exactly the constraint the reference
+//     ascending strict-< scan selects. Each solve restores its scratch
+//     state with memcopies and marks frozen flows with an epoch stamp. A
+//     progressive-filling round takes its bottleneck from the tree root,
+//     freezes only the flows on the bottleneck's list, and pays once per
+//     constraint it touched: one share division and one repair of the
+//     tree groups that hold it. The steady-state event loop performs
+//     zero heap allocations (pinned by TestEventLoopZeroAlloc).
 //
 // Run-to-run determinism note: the pre-rewrite implementation iterated a
 // Go map when accumulating the window-goodput integral, so GoodputNorm
@@ -185,11 +185,11 @@ type engine struct {
 	// shares0 caches caps0[c]/counts0[c] (the round-0 fair share of every
 	// constraint; +Inf when unused) and is maintained incrementally as
 	// flows arrive and depart — at most four divisions per event. Inside
-	// allocate the scratch copy is updated whenever a freeze changes a
-	// constraint, so the per-round bottleneck search is a pure compare
-	// scan with no divisions. The cached value is computed by the same
-	// expression the reference implementation evaluated inline
-	// (caps[c]/float64(counts[c])), so the scan observes bit-identical
+	// allocate the scratch copy is recomputed once per round for each
+	// constraint the round touched, so the bottleneck search divides
+	// nothing. The cached value is computed by the same expression the
+	// reference implementation evaluated inline
+	// (caps[c]/float64(counts[c])), so the tree observes bit-identical
 	// shares and selects bit-identical bottlenecks.
 	nCons    int
 	rackBase int
@@ -201,34 +201,24 @@ type engine struct {
 	shares   []float64 // allocate() scratch share cache
 	epoch    int64     // allocate() invocation stamp
 
-	// Indexed min-heap over constraints keyed lexicographically by
-	// (shares[c], c). The lexicographic order makes the heap minimum
-	// exactly the constraint the reference ascending-index scan selects:
-	// the lowest-index constraint among those with the strictly smallest
-	// share. heap0/pos0 track the live shares0 across events (at most
-	// four sift fixes per event); allocate() memcopies them into
-	// heap/pos scratch and fixes them as freezes change shares.
-	//
-	// useHeap gates the structure on fabric size: for small constraint
-	// sets a linear compare scan of shares beats the heap's sift
-	// constant, so the heap only pays off past heapMinCons constraints.
-	// Both selection methods observe the same cached shares and the
-	// same (share, lowest-index) order, so they pick bit-identical
-	// bottlenecks — the golden fixtures cover both paths.
-	useHeap bool
-	heap0   []int32 // heap of constraint ids
-	pos0    []int32 // constraint id -> heap0 slot
-	heap    []int32 // allocate() scratch heap
-	pos     []int32 // allocate() scratch positions
+	// Bottleneck selection: kt0 holds the tree's winners over shares0
+	// (at most four constraints to repair per event); allocate()
+	// memcopies it into kt and repairs that after each round.
+	tree    tree
+	kt0     []int32
+	kt      []int32
+	touched []int64 // per constraint: the last round (e.rounds) that changed it
+	dirty   []int32 // cap nCons: constraints to repair, in touch order
 
-	// CSR member lists, rebuilt per allocate() from counts0 (which is
-	// exactly the per-constraint membership count): members[offsets[c]:
-	// offsets[c+1]] lists the dense-table indices of the flows crossing
-	// constraint c, in ascending order — the same order the reference
-	// full-table freeze scan visits them.
-	offsets []int32 // len nCons+1
-	fill    []int32 // len nCons, build cursors
-	members []int32 // cap 4*len(flows)
+	// Member lists, one intrusive doubly linked list per constraint,
+	// kept across events: node 4*slot+k stands for the k-th constraint
+	// of the flow in table slot `slot`. A round freezes the flows on its
+	// bottleneck's list; every flow frozen in a round subtracts the same
+	// share with the same clamp, so the visiting order changes no value
+	// and the lists need no order.
+	head []int32 // per constraint: first node, -1 when empty
+	succ []int32 // per node: the next node, -1 at the end of a list
+	pred []int32 // per node: the previous node, -1 at the head of a list
 }
 
 func newEngine(cfg Config, flows []workload.Flow) (*engine, error) {
@@ -303,77 +293,44 @@ func newEngine(cfg Config, flows []workload.Flow) (*engine, error) {
 	e.counts = make([]int32, e.nCons)
 	e.shares0 = make([]float64, e.nCons)
 	e.shares = make([]float64, e.nCons)
-	e.useHeap = e.nCons >= heapMinCons
-	e.heap0 = make([]int32, e.nCons)
-	e.pos0 = make([]int32, e.nCons)
-	e.heap = make([]int32, e.nCons)
-	e.pos = make([]int32, e.nCons)
+	e.head = make([]int32, e.nCons)
 	for i := range e.shares0 {
 		e.shares0[i] = math.Inf(1) // no members yet
-		// The identity permutation is a valid heap for all-equal keys
-		// with the ascending-index tie-break.
-		e.heap0[i] = int32(i)
-		e.pos0[i] = int32(i)
+		e.head[i] = -1
 	}
-	e.offsets = make([]int32, e.nCons+1)
-	e.fill = make([]int32, e.nCons)
-	e.members = make([]int32, 4*len(flows))
+	e.succ = make([]int32, 4*len(flows))
+	e.pred = make([]int32, 4*len(flows))
+	e.tree = newTree(e.nCons)
+	e.kt0 = make([]int32, e.tree.size())
+	e.kt = make([]int32, e.tree.size())
+	e.tree.build(e.kt0, e.shares0)
+	e.touched = make([]int64, e.nCons)
+	e.dirty = make([]int32, 0, e.nCons)
 	return e, nil
 }
 
-// heapMinCons is the constraint-count threshold above which allocate()
-// keeps the bottleneck heap; below it a linear compare scan of the share
-// cache is faster (smaller constant, perfect locality). Chosen so a
-// 64-endpoint non-blocking fabric (128 constraints) is the first to use
-// the heap.
-const heapMinCons = 128
-
-// cLess orders constraint ids lexicographically by (key[c], c): strictly
-// smaller share first, lowest index among equal shares. The heap minimum
-// under this order is exactly what the reference ascending-index
-// strict-< scan selects.
-func cLess(a, b int32, key []float64) bool {
-	ka, kb := key[a], key[b]
-	return ka < kb || (ka == kb && a < b)
-}
-
-func siftUp(h, pos []int32, key []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !cLess(h[i], h[p], key) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		pos[h[i]], pos[h[p]] = int32(i), int32(p)
-		i = p
+// link pushes node (4*slot+k, the k-th constraint of the flow in table
+// slot `slot`) onto constraint c's member list.
+func (e *engine) link(c, node int32) {
+	h := e.head[c]
+	e.succ[node], e.pred[node] = h, -1
+	if h >= 0 {
+		e.pred[h] = node
 	}
+	e.head[c] = node
 }
 
-func siftDown(h, pos []int32, key []float64, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && cLess(h[r], h[l], key) {
-			m = r
-		}
-		if !cLess(h[m], h[i], key) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		pos[h[i]], pos[h[m]] = int32(i), int32(m)
-		i = m
+// unlink removes node from constraint c's member list.
+func (e *engine) unlink(c, node int32) {
+	p, n := e.pred[node], e.succ[node]
+	if p >= 0 {
+		e.succ[p] = n
+	} else {
+		e.head[c] = n
 	}
-}
-
-// heapFix restores the heap invariant after key[c] changed.
-func heapFix(h, pos []int32, key []float64, c int32) {
-	i := int(pos[c])
-	siftUp(h, pos, key, i)
-	siftDown(h, pos, key, int(pos[c]))
+	if n >= 0 {
+		e.pred[n] = p
+	}
 }
 
 // constraintsFor returns the constraint indices of a flow, -1 padded.
@@ -433,15 +390,16 @@ func (e *engine) step() error {
 		e.arrival[i] = fl.Arrival
 		cs := e.constraintsFor(fl.Src, fl.Dst)
 		e.cons[i] = cs
-		for _, c := range cs {
+		dirty := e.dirty[:0]
+		for k, c := range cs {
 			if c >= 0 {
 				e.counts0[c]++
 				e.shares0[c] = e.caps0[c] / float64(e.counts0[c])
-				if e.useHeap {
-					heapFix(e.heap0, e.pos0, e.shares0, c)
-				}
+				e.link(c, int32(4*i+k))
+				dirty = append(dirty, c)
 			}
 		}
+		e.tree.repair(e.kt0, e.shares0, dirty)
 	} else {
 		e.integrate(completion - now)
 		e.now = completion
@@ -457,20 +415,27 @@ func (e *engine) step() error {
 			e.res.SimTime = t
 		}
 		// Swap-remove from the dense table.
-		for _, c := range e.cons[doneIdx] {
+		dirty := e.dirty[:0]
+		for k, c := range e.cons[doneIdx] {
 			if c >= 0 {
 				if e.counts0[c]--; e.counts0[c] > 0 {
 					e.shares0[c] = e.caps0[c] / float64(e.counts0[c])
 				} else {
 					e.shares0[c] = math.Inf(1)
 				}
-				if e.useHeap {
-					heapFix(e.heap0, e.pos0, e.shares0, c)
-				}
+				e.unlink(c, int32(4*doneIdx+k))
+				dirty = append(dirty, c)
 			}
 		}
+		e.tree.repair(e.kt0, e.shares0, dirty)
 		last := e.nAct - 1
 		if doneIdx != last {
+			for k, c := range e.cons[last] {
+				if c >= 0 {
+					e.unlink(c, int32(4*last+k))
+					e.link(c, int32(4*doneIdx+k))
+				}
+			}
 			e.remaining[doneIdx] = e.remaining[last]
 			e.rate[doneIdx] = e.rate[last]
 			e.cons[doneIdx] = e.cons[last]
@@ -529,103 +494,81 @@ func (e *engine) integrate(dt float64) {
 // allocate computes max-min fair rates for the active flows by
 // progressive filling. The resulting rate vector is the unique max-min
 // solution and is independent of flow iteration order (within a round
-// every frozen flow subtracts the same share, and float subtraction of a
-// repeated constant commutes), so the dense-order iteration reproduces
-// the reference map-order implementation bit for bit. Constraint
-// membership counts are maintained incrementally on arrival/departure;
-// here they are restored with two memcopies instead of a full rebuild,
-// and frozen flows are marked with an epoch stamp instead of a freshly
-// allocated bool slice.
+// every frozen flow subtracts the same share with the same clamp, and
+// float subtraction of a repeated constant commutes), so visiting the
+// member lists in any order reproduces the reference ascending-table
+// implementation bit for bit. The counts, shares and tree winners kept
+// across events are restored into scratch with memcopies, and frozen
+// flows are marked with an epoch stamp instead of a freshly allocated
+// bool slice.
+//
+// A round pays once per constraint it touched, not once per freeze: the
+// freeze loop only subtracts from caps and counts, and the touched
+// shares are recomputed, and the tree repaired, after it. That is exact
+// because nothing reads a share between two freezes of one round, and
+// the next round reads the same expression on the same operands.
 func (e *engine) allocate() {
 	copy(e.caps, e.caps0)
 	copy(e.counts, e.counts0)
 	copy(e.shares, e.shares0)
-	useHeap := e.useHeap
-	if useHeap {
-		copy(e.heap, e.heap0)
-		copy(e.pos, e.pos0)
-	}
+	copy(e.kt, e.kt0)
 	e.epoch++
 	epoch := e.epoch
-	nAct := e.nAct
-	// Build the CSR member lists: counts0 is exactly the per-constraint
-	// membership count, so the offsets are its prefix sum, and a single
-	// ascending pass over the table fills each list in ascending
-	// dense-table order — the order the reference freeze scan visits.
-	off := e.offsets
-	off[0] = 0
-	for c := 0; c < e.nCons; c++ {
-		off[c+1] = off[c] + e.counts0[c]
-		e.fill[c] = off[c]
-	}
-	for i := 0; i < nAct; i++ {
-		e.rate[i] = 0
-		cs := &e.cons[i]
-		for _, c := range cs {
-			if c >= 0 {
-				e.members[e.fill[c]] = int32(i)
-				e.fill[c]++
-			}
-		}
-	}
-	shares := e.shares
-	heap, pos, members := e.heap, e.pos, e.members
-	unfrozen := nAct
+	caps, counts, shares, kt := e.caps, e.counts, e.shares, e.kt
+	frozen, cons, succ, touched := e.frozen, e.cons, e.succ, e.touched
+	rate := e.rate[:e.nAct]
+	clear(rate)
+	root := len(kt) - 1
+	unfrozen := e.nAct
 	for unfrozen > 0 {
 		e.rounds++
-		// Pick the tightest constraint: shares[] caches
-		// caps[c]/float64(counts[c]) — the identical expression the
-		// reference evaluated inline, +Inf for empty constraints. The
-		// heap minimum under the (share, index) order and the linear
-		// ascending strict-< scan select the same lowest-index minimum.
-		var b int32
-		var bestShare float64
-		if useHeap {
-			b = heap[0]
-			bestShare = shares[b]
-		} else {
-			b, bestShare = 0, shares[0]
-			for c := 1; c < e.nCons; c++ {
-				if s := shares[c]; s < bestShare {
-					b, bestShare = int32(c), s
-				}
-			}
-		}
+		round := e.rounds
+		// The tree root is the lowest-index constraint among the smallest
+		// shares: what the reference ascending strict-< scan selects.
+		b := kt[root]
+		bestShare := shares[b]
 		if math.IsInf(bestShare, 1) {
 			break // no constraint has members (defensive, as before)
 		}
-		// Freeze every unfrozen flow crossing the bottleneck. The member
-		// list visits exactly the flows the reference full-table scan
-		// would freeze, in the same ascending order. After the loop every
-		// member is frozen, so counts[b] is 0, shares[b] is +Inf, and b
-		// has sunk in the heap: each bottleneck is selected at most once.
-		for k := off[b]; k < off[b+1]; k++ {
-			i := int(members[k])
-			if e.frozen[i] == epoch {
+		// Freeze every unfrozen flow crossing the bottleneck. After the
+		// loop every member is frozen, so counts[b] is 0 and shares[b]
+		// becomes +Inf: each bottleneck is selected at most once.
+		dirty := e.dirty[:0]
+		for node := e.head[b]; node >= 0; node = succ[node] {
+			i := node / 4
+			if frozen[i] == epoch {
 				continue
 			}
-			e.frozen[i] = epoch
+			frozen[i] = epoch
 			unfrozen--
 			e.freezes++
-			e.rate[i] = bestShare
-			cs := &e.cons[i]
-			for _, c := range cs {
-				if c >= 0 {
-					e.caps[c] -= bestShare
-					if e.caps[c] < 0 {
-						e.caps[c] = 0
-					}
-					if e.counts[c]--; e.counts[c] > 0 {
-						shares[c] = e.caps[c] / float64(e.counts[c])
-					} else {
-						shares[c] = math.Inf(1)
-					}
-					if useHeap {
-						heapFix(heap, pos, shares, c)
-					}
+			rate[i] = bestShare
+			for _, c := range &cons[i] {
+				if c < 0 {
+					continue
+				}
+				caps[c] -= bestShare
+				if caps[c] < 0 {
+					caps[c] = 0
+				}
+				counts[c]--
+				if touched[c] != round {
+					touched[c] = round
+					dirty = append(dirty, c)
 				}
 			}
 		}
+		if unfrozen == 0 {
+			break
+		}
+		for _, c := range dirty {
+			if counts[c] > 0 {
+				shares[c] = caps[c] / float64(counts[c])
+			} else {
+				shares[c] = math.Inf(1)
+			}
+		}
+		e.tree.repair(kt, shares, dirty)
 	}
 }
 
