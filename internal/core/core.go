@@ -136,9 +136,6 @@ type Config struct {
 	// normalization (the paper normalizes by N·R of the *baseline*
 	// provisioning, so extra VLB uplinks don't inflate the metric).
 	NormalizeRate simtime.Rate
-	// HopPropagation is added per fiber traversal when reporting flow
-	// completion times (zero = co-located, the default for comparisons).
-	HopPropagation simtime.Duration
 	// TrackReorder enables per-flow reorder-buffer accounting (Fig. 10d).
 	TrackReorder bool
 	// KeepPerFlow retains per-flow completion times in the results.
@@ -244,8 +241,7 @@ type sim struct {
 	epochE  int
 	k       int // pair connections per epoch
 	payload int
-	hop2    simtime.Duration // 2 * HopPropagation, hoisted off the hot path
-	qk      int32            // Q * k, the scaled intermediate bound
+	qk      int32 // Q * k, the scaled intermediate bound
 
 	flows      []workload.Flow
 	cellsTotal []int32            // cells per flow
@@ -433,7 +429,6 @@ func newSim(ctx context.Context, cfg Config, flows []workload.Flow) (*sim, error
 		epochE:  epochE,
 		k:       k,
 		payload: cfg.Slot.CellBytes - cell.HeaderLen,
-		hop2:    cfg.HopPropagation * 2,
 		flows:   flows,
 		r:       rng.New(cfg.Seed),
 	}
@@ -1048,7 +1043,7 @@ func (s *sim) transmit(node, dst int, deliverAt simtime.Time) {
 		if s.idealQ != nil {
 			s.idealQ[idx]--
 		}
-		s.deliver(ref, deliverAt.Add(s.hop2))
+		s.deliver(ref, deliverAt)
 	case !vq.empty():
 		// Send a granted cell to its intermediate (possibly the final
 		// destination itself: the direct path).
@@ -1067,7 +1062,7 @@ func (s *sim) transmit(node, dst int, deliverAt simtime.Time) {
 			if s.idealQ != nil {
 				s.idealQ[dst*s.n+final]--
 			}
-			s.deliver(ref, deliverAt.Add(s.hop2))
+			s.deliver(ref, deliverAt)
 			return
 		}
 		fwdIdx := dst*s.n + final

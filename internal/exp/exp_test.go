@@ -404,13 +404,14 @@ func TestLifecycleTable(t *testing.T) {
 		return ""
 	}
 	for metric, want := range map[string]string{
-		"fabric grew 4->6 at epoch":   "12",
-		"node 1 drained at epoch":     "26",
-		"node 1 re-added at epoch":    "40",
-		"node 0 crashed at epoch":     "50",
-		"healthz excursions (want 1)": "1",
-		"healthz green at end":        "true",
-		"post-FEC error-free":         "true",
+		"fabric grew 4->6 at epoch":      "12",
+		"node 1 drained at epoch":        "26",
+		"node 1 re-added at epoch":       "40",
+		"node 0 crashed at epoch":        "50",
+		"healthz excursions (want 1)":    "1",
+		"frames dropped by the emulator": "0",
+		"healthz green at end":           "true",
+		"post-FEC error-free":            "true",
 	} {
 		if got := get(metric); got != want {
 			t.Errorf("%s = %s, want %s", metric, got, want)

@@ -128,25 +128,24 @@ func Lifecycle(seed uint64) (*Table, error) {
 	t.Add("survivor cells received", fs.Cells)
 	t.Add("survivor BER", fs.BER)
 	t.Add("post-FEC error-free", fs.ErrFree)
-	t.Add("frames lost to crash window", fs.Dropped)
+	t.Add("frames dropped by the emulator", fs.Dropped)
 	t.Add("healthz excursions (want 1)", len(hist)/2)
 	t.Add("healthz green at end", h.Healthy())
 	t.Add("replay identical at seed", fmt.Sprintf("true (seed %d)", seed))
 	return t, nil
 }
 
-// lifecycleFingerprint flattens every deterministic observable of a soak
-// run into one comparable string: routing totals, the survivors' BER
-// inputs, the consensus failure view, and each node's counters and
-// membership-change timeline. The emulator's dropped-frame counter is
-// deliberately excluded — frames addressed to a crashed port race the
-// kernel's RST at the socket boundary, so the split between
-// "written into a dying socket" and "counted dropped" is
-// timing-dependent even though the surviving fabric's state is not.
+// lifecycleFingerprint flattens every observable of a soak run into one
+// comparable string: routing and loss totals, the survivors' BER inputs,
+// the consensus failure view, and each node's counters and
+// membership-change timeline. None of it depends on timing: every node
+// joins and leaves at an exact epoch boundary, and a crashed node
+// half-closes and reads its input until the fabric closes, so frames
+// sent to it are delivered (and ignored), never dropped.
 func lifecycleFingerprint(fs *wire.FaultStats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan=%s routed=%d cells=%d ber=%.17g grey=%d survivors=%d failures=%+v",
-		fs.PlanHash, fs.Routed, fs.Cells, fs.BER, fs.GreyDropped, fs.Survivors, fs.Failures)
+	fmt.Fprintf(&b, "plan=%s routed=%d cells=%d ber=%.17g dropped=%d grey=%d survivors=%d failures=%+v",
+		fs.PlanHash, fs.Routed, fs.Cells, fs.BER, fs.Dropped, fs.GreyDropped, fs.Survivors, fs.Failures)
 	for _, st := range fs.Nodes {
 		fmt.Fprintf(&b, " | n%d sent=%d rx=%d bits=%d bitErrs=%d crash=%t eject=%t drain=%t rejoin=%d joinedAt=%d changes=%+v",
 			st.Node, st.Sent, st.Received, st.Bits, st.BitErrors,

@@ -148,13 +148,6 @@ func (a *Static) Plan(epoch int64, demand []int32, dst []int32) int {
 // Reset implements Scheduler (no cross-epoch state).
 func (a *Static) Reset() {}
 
-// SlotFor returns a direct (uplink, slot) for the pair, delegating to
-// the wrapped static schedule.
-func (a *Static) SlotFor(src, dst int) (uplink, slot int) { return a.s.SlotFor(src, dst) }
-
-// Schedule returns the wrapped static schedule.
-func (a *Static) Schedule() schedule.Schedule { return a.s }
-
 // fillDark marks every entry of dst dark (-1), doubling a filled
 // prefix with copy so the fill runs at memmove speed.
 func fillDark(dst []int32) {

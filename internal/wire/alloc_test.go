@@ -10,14 +10,11 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
 	"sirius/internal/cell"
-	"sirius/internal/health"
 	"sirius/internal/phy"
-	"sirius/internal/schedule"
 )
 
 // TestEmulatorRoutePathZeroAlloc pins the zero-allocation contract of
@@ -71,50 +68,14 @@ func TestEmulatorRoutePathZeroAlloc(t *testing.T) {
 	}
 }
 
-// allocTestNode hand-builds a node in the post-registration steady state
-// without dialing anything, mirroring RunNode's construction.
+// allocTestNode builds a founder node in the post-registration steady
+// state with RunNode's own constructor, without dialing anything.
 func allocTestNode(t *testing.T, nodes, payloadBytes int) *node {
 	t.Helper()
-	cfg := NodeConfig{ID: 0, Nodes: nodes, Epochs: 1 << 20, PayloadBytes: payloadBytes,
-		Timeout: time.Minute, SuspectTimeout: time.Minute, MissThreshold: 3}
-	base, err := schedule.NewGrouped(nodes, nodes, 1)
+	n, err := newNode(NodeConfig{ID: 0, Nodes: nodes, Epochs: 1 << 20, PayloadBytes: payloadBytes,
+		Timeout: time.Minute, SuspectTimeout: time.Minute, MissThreshold: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	obs, err := health.NewObserver(nodes, cfg.MissThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := &node{
-		cfg:         cfg,
-		heard:       make([]int, nodes),
-		suspected:   make([]bool, nodes),
-		switchEpoch: make([]int, nodes),
-		applied:     make([]bool, nodes),
-		member:      make([]bool, nodes),
-		joinAt:      make([]int, nodes),
-		leaveAt:     make([]int, nodes),
-		joinDone:    make([]bool, nodes),
-		leaveDone:   make([]bool, nodes),
-		helloSeen:   make([]bool, nodes),
-		everMember:  true,
-		welcomeS:    -1,
-		obs:         obs,
-		base:        base,
-		sched:       base,
-		live:        make([]int, nodes),
-		myIdx:       0,
-		stats:       NodeStats{Node: 0},
-	}
-	n.cond = sync.NewCond(&n.mu)
-	n.tel = newNodeTel(cfg)
-	for i := range n.heard {
-		n.heard[i] = -1
-		n.switchEpoch[i] = -1
-		n.joinAt[i] = -1
-		n.leaveAt[i] = -1
-		n.member[i] = true
-		n.live[i] = i
 	}
 	return n
 }

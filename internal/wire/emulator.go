@@ -729,11 +729,16 @@ func (e *Emulator) mayReconnectLocked(out int) bool {
 	return e.regCount[out] < expected
 }
 
-// inputDone handles the end of a port's input stream. A clean EOF from a
-// port with no pending scripted restart is that port's final word; once
-// every registered port has spoken its last, the fabric is complete and
-// the emulator flushes every batch, closes every connection (delivering
-// EOF to all receivers), and stops serving.
+// inputDone handles the end of a port's input stream. Unless the port
+// has spoken its last, the connection is retired — closed, with whatever
+// was batched for the port parked until it re-registers — whether the
+// read broke or ended in a clean EOF: a departing node half-closes and
+// re-registers only after reading the retired connection to its end, so
+// a re-registration never replaces an input with unread frames. A final
+// EOF leaves the connection open for delivery (the node reads until the
+// fabric closes); once every registered port has spoken its last, the
+// fabric is complete and the emulator flushes every batch, closes every
+// connection (delivering EOF to all receivers), and stops serving.
 func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 	op := &e.out[port]
 	op.mu.Lock()
@@ -742,26 +747,27 @@ func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 		return // superseded by a re-registration
 	}
 	broken := err != io.EOF && err != io.ErrUnexpectedEOF
-	if broken {
-		// A broken connection (not a half-close): record it and drop the
-		// conn entirely. The node may re-register; whatever was batched
-		// for it parks until then.
+	e.mu.Lock()
+	back := e.mayReconnectLocked(port) && !e.closed
+	e.mu.Unlock()
+	if broken || back {
 		conn.Close()
 		if op.conn == conn {
 			op.conn = nil
 			e.parkPendingLocked(op)
 		}
+	}
+	if broken {
 		e.recordErr(&PortError{Port: port, Op: "read", Err: err})
 	}
-	e.mu.Lock()
-	if e.mayReconnectLocked(port) && !e.closed {
-		e.mu.Unlock()
+	if back {
 		if broken {
 			e.tel.health.SetCondition(emuPortKey(port), "read failed; awaiting re-registration")
 		}
 		op.mu.Unlock()
 		return // not the port's last word: await re-registration
 	}
+	e.mu.Lock()
 	e.eofFinal[port] = true
 	// The port's final word: whatever happened to it is no longer a
 	// degraded condition but the fabric's new (compacted) shape.

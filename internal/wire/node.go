@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -196,13 +197,19 @@ type node struct {
 	// extends its leash while it is set.
 	waitingHellos bool
 
-	// Dormant state: the node is registered with the emulator but not a
-	// member (an expansion joiner before admission, or a crashed/drained
-	// node awaiting its scripted rejoin). A dormant node discards
-	// everything it receives except a welcome addressed to it.
-	dormant        bool
-	welcomeS       int    // switch epoch from the best welcome so far (-1 none)
-	welcomeMembers []bool // membership bitmap carried by that welcome
+	// [gapFrom, gapUntil) is this node's absence from the fabric: the
+	// epochs it is not a member for, whose data cells it ignores. A
+	// founder has none (gapFrom = MaxInt) and a joiner is absent from 0.
+	// A scripted crash or drain opens the gap one epoch ahead, and the
+	// first welcome to land closes it at its switch epoch. admitting
+	// marks a welcome the transmit side has not yet taken up; one with
+	// a smaller switch epoch may still replace it.
+	gapFrom, gapUntil int
+	admitting         bool
+
+	// dormant marks the transmit side idle by plan: absent from the
+	// fabric, waiting to be admitted or gone and reading it out.
+	dormant bool
 
 	base  schedule.Schedule // the full-fabric schedule Compact works from
 	sched schedule.Schedule // current schedule (over the active members)
@@ -211,7 +218,6 @@ type node struct {
 
 	txDone   bool
 	rxDone   bool
-	detached bool // no further connection will exist (terminal crash/drain)
 	fatalErr error
 
 	progress atomic.Int64 // bumped on any rx frame / tx epoch / reconnect
@@ -255,60 +261,16 @@ func RunNode(cfg NodeConfig) (*NodeStats, error) {
 		cfg.ReconnectBase = defaultReconnectBase
 	}
 
-	base, err := schedule.NewGrouped(cfg.Nodes, cfg.Nodes, 1)
-	if err != nil {
-		return nil, err
-	}
-	obs, err := health.NewObserver(cfg.Nodes, cfg.MissThreshold)
-	if err != nil {
-		return nil, err
-	}
-
-	joiners := cfg.Plan.Joiners()
-	if cfg.Nodes-len(joiners) < 2 {
+	if joiners := cfg.Plan.Joiners(); cfg.Nodes-len(joiners) < 2 {
 		return nil, fmt.Errorf("wire: only %d initial members (need >= 2): %d of %d nodes join late",
 			cfg.Nodes-len(joiners), len(joiners), cfg.Nodes)
 	}
 	if err := validateLifecycleHorizon(cfg); err != nil {
 		return nil, err
 	}
-
-	n := &node{
-		cfg:         cfg,
-		heard:       make([]int, cfg.Nodes),
-		suspected:   make([]bool, cfg.Nodes),
-		switchEpoch: make([]int, cfg.Nodes),
-		applied:     make([]bool, cfg.Nodes),
-		obs:         obs,
-		member:      make([]bool, cfg.Nodes),
-		joinAt:      make([]int, cfg.Nodes),
-		leaveAt:     make([]int, cfg.Nodes),
-		joinDone:    make([]bool, cfg.Nodes),
-		leaveDone:   make([]bool, cfg.Nodes),
-		helloSeen:   make([]bool, cfg.Nodes),
-		welcomeS:    -1,
-		base:        base,
-		stats:       NodeStats{Node: cfg.ID},
-	}
-	n.cond = sync.NewCond(&n.mu)
-	n.tel = newNodeTel(cfg)
-	for i := range n.heard {
-		n.heard[i] = -1
-		n.switchEpoch[i] = -1
-		n.joinAt[i] = -1
-		n.leaveAt[i] = -1
-		n.member[i] = true
-	}
-	for _, j := range joiners {
-		n.member[j] = false
-	}
-	n.everMember = n.member[cfg.ID]
-	n.dormant = !n.member[cfg.ID]
-	if err := n.rebuildScheduleLocked(); err != nil {
+	n, err := newNode(cfg)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.TrackEpochs {
-		n.stats.RxPerEpoch = make([]int, cfg.Epochs)
 	}
 
 	conn, err := dialRegister(cfg, 0)
@@ -340,6 +302,61 @@ func RunNode(cfg NodeConfig) (*NodeStats, error) {
 		return &stats, err
 	}
 	return &stats, nil
+}
+
+// newNode builds a node's run state from a defaulted configuration:
+// founders are members from epoch 0 on the full schedule, and scripted
+// joiners start dormant, absent from epoch 0.
+func newNode(cfg NodeConfig) (*node, error) {
+	base, err := schedule.NewGrouped(cfg.Nodes, cfg.Nodes, 1)
+	if err != nil {
+		return nil, err
+	}
+	obs, err := health.NewObserver(cfg.Nodes, cfg.MissThreshold)
+	if err != nil {
+		return nil, err
+	}
+	n := &node{
+		cfg:         cfg,
+		heard:       make([]int, cfg.Nodes),
+		suspected:   make([]bool, cfg.Nodes),
+		switchEpoch: make([]int, cfg.Nodes),
+		applied:     make([]bool, cfg.Nodes),
+		obs:         obs,
+		member:      make([]bool, cfg.Nodes),
+		joinAt:      make([]int, cfg.Nodes),
+		leaveAt:     make([]int, cfg.Nodes),
+		joinDone:    make([]bool, cfg.Nodes),
+		leaveDone:   make([]bool, cfg.Nodes),
+		helloSeen:   make([]bool, cfg.Nodes),
+		gapFrom:     math.MaxInt,
+		gapUntil:    math.MaxInt,
+		base:        base,
+		stats:       NodeStats{Node: cfg.ID},
+	}
+	n.cond = sync.NewCond(&n.mu)
+	n.tel = newNodeTel(cfg)
+	for i := range n.heard {
+		n.heard[i] = -1
+		n.switchEpoch[i] = -1
+		n.joinAt[i] = -1
+		n.leaveAt[i] = -1
+		n.member[i] = true
+	}
+	for _, j := range cfg.Plan.Joiners() {
+		n.member[j] = false
+	}
+	n.everMember = n.member[cfg.ID]
+	if !n.everMember {
+		n.dormant, n.gapFrom = true, 0
+	}
+	if err := n.rebuildScheduleLocked(); err != nil {
+		return nil, err
+	}
+	if cfg.TrackEpochs {
+		n.stats.RxPerEpoch = make([]int, cfg.Epochs)
+	}
+	return n, nil
 }
 
 // validateLifecycleHorizon rejects plans whose lifecycle switch epochs
@@ -438,10 +455,11 @@ func (n *node) watchdog(stop chan struct{}) {
 			last, strikes = now, 0
 			continue
 		}
-		// A dormant node awaiting its welcome, or a member holding a gate
-		// for a scripted joiner's hello, is legitimately idle: leash it at
-		// 10x the normal budget instead of 1x, so planned lifecycle waits
-		// survive while a truly wedged fabric still fails.
+		// A dormant node (awaiting its welcome, or gone and reading out
+		// the fabric), or a member holding a gate for a scripted joiner's
+		// hello, is legitimately idle: leash it at 10x the normal budget
+		// instead of 1x, so planned lifecycle waits survive while a truly
+		// wedged fabric still fails.
 		limit := 3
 		if patient {
 			limit = 30
@@ -538,18 +556,16 @@ func (n *node) currentConn() (net.Conn, int) {
 
 // ---- Transmit side ----
 
-// txLoop drives the scheduled epochs: gate, transmit, flush; with scripted
-// crash/flap/drain hooks at epoch boundaries, dormant phases around
-// admissions (expansion joiners, post-crash/drain rejoins), and a
-// half-close when done so the emulator learns this input has spoken its
-// last.
+// txLoop drives the scheduled epochs: gate, transmit, flush. A scripted
+// crash, flap or drain leaves the fabric through depart at the top of its
+// epoch, as do an ejection and the run's normal end; a joiner, and a node
+// scripted back after a crash or drain, waits until a welcome admits it.
 func (n *node) txLoop() error {
 	me := n.cfg.ID
-	crashAt := n.cfg.Plan.CrashEpoch(me)
-	flapAt := n.cfg.Plan.FlapEpoch(me)
-	rejoinAt := n.cfg.Plan.RejoinEpoch(me)
+	plan := n.cfg.Plan
+	crashAt, flapAt, rejoinAt := plan.CrashEpoch(me), plan.FlapEpoch(me), plan.RejoinEpoch(me)
 	detachAt := -1
-	if d := n.cfg.Plan.DrainEpoch(me); d >= 0 {
+	if d := plan.DrainEpoch(me); d >= 0 {
 		// The drain is announced at d (gate d proposes switch epoch d+2);
 		// the node transmits epochs [0, d+2) and detaches at d+2.
 		detachAt = d + 2
@@ -561,118 +577,71 @@ func (n *node) txLoop() error {
 
 	conn, gen := n.currentConn()
 	bw := bufio.NewWriterSize(conn, 64<<10)
-
-	g := 0
-	if n.isDormant() {
+	n.mu.Lock()
+	absent := n.dormant
+	n.mu.Unlock()
+	if absent {
 		// Expansion joiner: announce attachment to the fabric, then wait
 		// to be welcomed in at an agreed switch epoch.
 		if err := n.announceHello(bw, conn); err != nil {
 			return err
 		}
-		s, err := n.awaitWelcome()
-		if err != nil {
-			return err
-		}
-		g = s
 	}
 
-	for g < n.cfg.Epochs {
-		if g == crashAt {
-			// Fail-stop: die mid-fabric with no farewell. The peers must
-			// notice from silence alone.
-			n.tel.tracer.Instant("crash", "wire.node", me, nil)
-			n.mu.Lock()
-			n.stats.Crashed = true
-			failedGen := n.gen
-			if n.conn != nil {
-				n.conn.Close()
-			}
-			if rejoinAt < 0 {
-				n.txDone = true
-				n.detached = true
-				n.cond.Broadcast()
-				n.mu.Unlock()
-				return nil
-			}
-			// A rolling restart is scripted: come back dormant on a fresh
-			// registration and wait for the survivors to re-admit us.
-			n.dormant = true
-			n.cond.Broadcast()
-			n.mu.Unlock()
-			if err := n.relink(failedGen); err != nil {
-				return err
-			}
-			conn, gen = n.currentConn()
-			bw = bufio.NewWriterSize(conn, 64<<10)
-			s, err := n.awaitWelcome()
+	g := 0
+	for {
+		if absent {
+			s, err := n.awaitAdmission()
 			if err != nil {
 				return err
 			}
-			g = s
-			continue
+			g, absent = s, false
 		}
-		if g == flapAt {
-			// Scripted link flap: drop the connection and re-register.
+		if g >= n.cfg.Epochs {
+			return n.depart(g, true, false)
+		}
+		if g+1 == crashAt || g+1 == detachAt {
+			// Membership ends at g+1. Open the gap before epoch g goes
+			// out: a member replies to it — with later cells, or with a
+			// welcome back — only after hearing it.
 			n.mu.Lock()
-			failedGen := n.gen
-			if n.conn != nil {
-				n.conn.Close()
+			n.openGapLocked(g + 1)
+			n.mu.Unlock()
+		}
+		if g == crashAt || g == flapAt || g == detachAt {
+			flap := g == flapAt
+			back := flap || rejoinAt >= 0
+			event := "flap"
+			n.mu.Lock()
+			switch g {
+			case crashAt:
+				// Fail-stop: no farewell. The peers notice from silence
+				// alone.
+				event = "crash"
+				n.stats.Crashed = true
+			case detachAt:
+				// The fabric agreed (at gate detachAt-2) to stop
+				// scheduling us from this epoch. The plan's drain is
+				// consumed here: a re-added node must not re-propose it
+				// (it detached before applying its own leave). A
+				// planned cycle is not an incident, so it relinks
+				// quietly.
+				event = "drain-detach"
+				n.stats.Drained = true
+				n.leaveDone[me] = true
+				n.quietLink = true
 			}
 			n.mu.Unlock()
-			if err := n.relink(failedGen); err != nil {
+			n.tel.tracer.Instant(event, "wire.node", me, nil)
+			if err := n.depart(g, flap, back); err != nil || !back {
 				return err
 			}
 			conn, gen = n.currentConn()
-			bw = bufio.NewWriterSize(conn, 64<<10)
-		}
-		if g == detachAt {
-			// Planned drain: the fabric agreed (at gate detachAt-2) that we
-			// stop being scheduled from this epoch. Wait until every cell
-			// addressed to us has arrived — zero loss — then detach.
-			if err := n.drainGate(detachAt); err != nil {
-				return err
+			bw.Reset(conn)
+			if !flap {
+				absent = true
+				continue
 			}
-			n.tel.tracer.Instant("drain-detach", "wire.node", me, nil)
-			n.mu.Lock()
-			n.stats.Drained = true
-			// The plan's drain is consumed by this detach. Without the
-			// guard, a re-added node would re-propose its own long-past
-			// drain (its leaveDone was never set: it detached before ever
-			// applying its own leave) and immediately eject itself.
-			n.leaveDone[me] = true
-			if rejoinAt < 0 {
-				n.txDone = true
-				n.detached = true
-				if n.conn != nil {
-					// Full close (not a half-close): the emulator takes the
-					// EOF as this port's final word.
-					n.conn.Close()
-				}
-				n.cond.Broadcast()
-				n.mu.Unlock()
-				return nil
-			}
-			// Scripted re-add: detach quietly (a planned cycle is not an
-			// incident) and wait dormant for the members' welcome.
-			n.dormant = true
-			n.quietLink = true
-			failedGen := n.gen
-			if n.conn != nil {
-				n.conn.Close()
-			}
-			n.cond.Broadcast()
-			n.mu.Unlock()
-			if err := n.relink(failedGen); err != nil {
-				return err
-			}
-			conn, gen = n.currentConn()
-			bw = bufio.NewWriterSize(conn, 64<<10)
-			s, err := n.awaitWelcome()
-			if err != nil {
-				return err
-			}
-			g = s
-			continue
 		}
 
 		epochStart := time.Now()
@@ -681,43 +650,82 @@ func (n *node) txLoop() error {
 			return err
 		}
 		if ejected {
-			break // the fabric has compacted us out; stop transmitting
+			// The fabric has compacted us out; stop transmitting.
+			return n.depart(g, false, false)
 		}
 		n.tel.epoch.SetInt(int64(g))
 
 		if err := n.sendEpoch(g, bw, conn, prbs, payload, &encodeBuf); err != nil {
 			// One broken pipe does not end the run: re-register and move
 			// on to the next epoch (this epoch's remaining cells are the
-			// documented in-flight loss of a link flap).
+			// documented in-flight loss of a link failure).
 			if rerr := n.relink(gen); rerr != nil {
 				return rerr
 			}
 			conn, gen = n.currentConn()
-			bw = bufio.NewWriterSize(conn, 64<<10)
+			bw.Reset(conn)
 		}
 		n.tel.tracer.Span("epoch", "wire.node", n.cfg.ID, epochStart, nil)
 		n.progress.Add(1)
 		g++
 	}
+}
 
+// depart takes the node off the fabric at the boundary before epoch s.
+// It is the one way out, for a crash, a flap, a drain, an ejection and
+// the run's normal end alike, in three steps:
+//
+//  1. Wait, as gate does, until every live member's epoch s-1 has
+//     arrived. By per-pair FIFO through the grating, nothing sent to
+//     this node before s is then still in flight.
+//  2. Half-close, so the emulator reads this input to its end (EOF) and
+//     every receiver hears the last epoch sent. A full Close with
+//     unread input would be answered with a TCP reset that drops
+//     whatever was still queued.
+//  3. With back set, wait until the receive side has read the old
+//     connection to EOF — the emulator retires it there and parks the
+//     port's frames — and re-registered. Without it, the receive side
+//     keeps reading until the fabric closes; a node that has left
+//     ignores what arrives.
+//
+// Unless member is set (a flap, or the run's end), the node is absent
+// from s on and turns dormant.
+func (n *node) depart(s int, member, back bool) error {
 	n.mu.Lock()
-	n.txDone = true
-	c := n.conn
-	n.cond.Broadcast()
+	if !member {
+		n.openGapLocked(s)
+		n.dormant = true
+	}
+	if err := n.awaitEpochLocked(s); err != nil {
+		n.mu.Unlock()
+		return err
+	}
+	c, gen := n.conn, n.gen
+	if !back {
+		n.txDone = true
+		n.cond.Broadcast()
+	}
 	n.mu.Unlock()
-	// Half-close: our input to the grating is complete, but we keep
-	// reading until the emulator closes the fabric.
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	}
-	return nil
-}
-
-// isDormant reports the dormant flag under the lock.
-func (n *node) isDormant() bool {
+	if !back {
+		return nil
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.dormant
+	for n.gen == gen && n.fatalErr == nil {
+		n.cond.Wait()
+	}
+	return n.fatalErr
+}
+
+// openGapLocked starts this node's absence at epoch s, unless it already
+// has (a welcome may since have closed it). Called with n.mu held.
+func (n *node) openGapLocked(s int) {
+	if n.gapFrom != s {
+		n.gapFrom, n.gapUntil = s, math.MaxInt
+	}
 }
 
 // announceHello sends one hello control cell to every other port: the
@@ -757,23 +765,36 @@ func (n *node) announceHello(bw *bufio.Writer, conn net.Conn) error {
 	return nil
 }
 
-// awaitWelcome blocks dormant until a member's welcome announces this
-// node's admission switch epoch S, installs the welcomed membership view,
-// and returns S — the epoch at which to start transmitting. The welcome's
-// bitmap is the membership as of S, so the node's state matches every
-// member's exactly at the switch boundary.
-func (n *node) awaitWelcome() (int, error) {
+// awaitAdmission blocks an absent node until a welcome, installed where
+// it lands on the receive path, has closed its gap, and returns the
+// welcome's switch epoch S: the epoch at which to start transmitting.
+func (n *node) awaitAdmission() (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for n.welcomeS < 0 && n.fatalErr == nil {
+	for n.gapUntil == math.MaxInt && n.fatalErr == nil {
 		n.cond.Wait()
 	}
 	if n.fatalErr != nil {
 		return 0, n.fatalErr
 	}
-	s := n.welcomeS
-	copy(n.member, n.welcomeMembers)
+	n.dormant, n.admitting = false, false
+	return n.gapUntil, nil
+}
+
+// admitLocked installs a welcome addressed to this node, sent by member
+// from in epoch ep: the membership bitmap as of switch epoch s, the
+// schedule compacted over it, and the end of the node's absence at s. It
+// runs on the receive path, and each member's welcome reaches this node
+// before that member's first cell to it (per-pair FIFO through the
+// grating), so every cell of epoch s or later is counted.
+//
+// A node admitted at the same epoch sends no welcome, so the first gate
+// waits for the sender's welcome of epoch s-1: the sender wrote its
+// welcomes to every pending joiner in earlier epochs, so they are ahead
+// of this node's first cell to any of them. Called with n.mu held.
+func (n *node) admitLocked(s int, bitmap []byte, from, ep int) {
 	for p := 0; p < n.cfg.Nodes; p++ {
+		n.member[p] = p/8 < len(bitmap) && bitmap[p/8]&(1<<(p%8)) != 0
 		// Every node in the welcomed membership is, by the welcome's own
 		// construction, scheduled through epoch s-1.
 		n.heard[p] = s - 1
@@ -784,6 +805,9 @@ func (n *node) awaitWelcome() (int, error) {
 		n.leaveAt[p] = -1
 		n.obs.Forgive(p)
 	}
+	// The sender is the one member whose epoch s-1 the first gate waits
+	// for (see above).
+	n.heard[from] = ep
 	// Drop suspicion records that never reached their switch: the
 	// welcomed membership already reflects every resolved failure, and
 	// re-flooding a pre-detach suspicion could poison the new epoch.
@@ -794,23 +818,21 @@ func (n *node) awaitWelcome() (int, error) {
 		}
 	}
 	n.failures = kept
-	n.welcomeS = -1
-	n.welcomeMembers = nil
-	n.dormant = false
-	n.quietLink = false
-	if err := n.rebuildScheduleLocked(); err != nil {
-		return 0, err
-	}
-	if !n.everMember {
+	if n.gapUntil == math.MaxInt {
+		if n.everMember {
+			n.stats.Rejoins++
+		}
 		n.everMember = true
+	}
+	if n.stats.Rejoins == 0 {
 		n.stats.JoinedAt = s
-	} else {
-		n.stats.Rejoins++
+	}
+	n.gapUntil, n.admitting = s, true
+	if err := n.rebuildScheduleLocked(); err != nil && n.fatalErr == nil {
+		n.fatalErr = err
 	}
 	n.progress.Add(1)
 	n.tel.tracer.Instant("welcome", "wire.node", n.cfg.ID, nil)
-	n.cond.Broadcast()
-	return s, nil
 }
 
 // sendEpoch transmits epoch g's slots under the current schedule, then
@@ -981,32 +1003,49 @@ func (n *node) projectedMembersLocked(s int) []byte {
 	return bits
 }
 
-// gate blocks until the node may transmit epoch g: it must have heard
-// epoch g-1 from every live, unsuspected peer (including itself through
-// the grating — the self-loop slot proves the node's own link works).
-//
-// The wait has an absolute deadline of SuspectTimeout per gate — advanced
-// by nothing, so a chatty subset of peers cannot postpone judgement of a
-// silent one. At the deadline each lagging peer is judged by the
-// gap-based health.Observer: a peer silent for MissThreshold consecutive
-// epochs is suspected, the suspicion is recorded for flooding with an
-// agreed switch epoch g+2 (one epoch to flood, one to align), and the
-// gate passes optimistically either way.
-//
-// gate also applies any due schedule switches (suspicions whose switch
-// epoch has arrived), compacting the schedule over the survivors; if this
-// node is itself the confirmed victim, gate reports ejection.
+// gate blocks until the node may transmit epoch g. Epoch g-1 is over
+// once every member of g-1 has delivered it — a node leaving at g
+// included, so the fabric never runs ahead of a departure
+// (awaitEpochLocked). gate then applies the switches due at g
+// (suspicions, admissions and drains whose switch epoch has arrived),
+// compacting the schedule over the members, and reports ejection if this
+// node is itself the confirmed victim. Last, it raises the epoch's
+// lifecycle proposals and holds until every scripted joiner due by g
+// has said hello.
 func (n *node) gate(g int) (ejected bool, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
+	if err := n.awaitEpochLocked(g); err != nil {
+		return false, err
+	}
 	if ej, err := n.applySwitchesLocked(g); ej || err != nil {
 		return ej, err
 	}
-	hellos := n.proposeLifecycleLocked(g)
-	n.waitingHellos = hellos
-	defer func() { n.waitingHellos = false }()
+	for n.proposeLifecycleLocked(g) {
+		if n.fatalErr != nil {
+			return false, n.fatalErr
+		}
+		n.waitingHellos = true
+		n.cond.Wait()
+	}
+	n.waitingHellos = false
+	return false, nil
+}
 
+// awaitEpochLocked blocks until epoch g-1 has arrived from every live,
+// unsuspected member, this node included: the self-loop slot through
+// the grating proves the node's own link works. Both gate and depart
+// wait here.
+//
+// The wait has an absolute deadline of SuspectTimeout, advanced by
+// nothing, so a chatty subset of peers cannot postpone judgement of a
+// silent one. At the deadline each lagging peer is judged by the
+// gap-based health.Observer: a peer silent for MissThreshold consecutive
+// epochs is suspected, the suspicion is recorded for flooding with an
+// agreed switch epoch g+2 (one epoch to flood, one to align), and the
+// wait ends either way. Called with n.mu held.
+func (n *node) awaitEpochLocked(g int) error {
 	deadline := time.Now().Add(n.cfg.SuspectTimeout)
 	timer := time.AfterFunc(n.cfg.SuspectTimeout, func() {
 		n.mu.Lock()
@@ -1017,32 +1056,28 @@ func (n *node) gate(g int) (ejected bool, err error) {
 
 	for {
 		if n.fatalErr != nil {
-			return false, n.fatalErr
+			return n.fatalErr
 		}
 		lagging := n.laggingLocked(g)
-		if len(lagging) == 0 && !hellos {
-			return false, nil
+		if len(lagging) == 0 {
+			return nil
 		}
-		if !time.Now().Before(deadline) && len(lagging) > 0 {
+		if !time.Now().Before(deadline) {
 			// Judge the laggards; suspect those over threshold, then pass.
 			for _, p := range lagging {
 				if !n.obs.Judge(p, n.heard[p], g) {
 					continue
 				}
 				if p == n.cfg.ID {
-					return false, fmt.Errorf(
+					return fmt.Errorf(
 						"wire: node %d: own transmissions not returning (link dead beyond epoch %d)",
 						n.cfg.ID, n.heard[p])
 				}
 				n.recordSuspicionLocked(p, g, g+2, false)
 			}
-			if !hellos {
-				return false, nil
-			}
+			return nil
 		}
 		n.cond.Wait()
-		hellos = n.proposeLifecycleLocked(g)
-		n.waitingHellos = hellos
 	}
 }
 
@@ -1120,49 +1155,6 @@ func (n *node) recordLeaveLocked(d, sw int) {
 	}
 	n.leaveAt[d] = sw
 	n.cond.Broadcast()
-}
-
-// drainGate blocks a draining node at its switch epoch s until every
-// cell addressed to it has arrived: hearing epoch s-1 from a member
-// means — by per-pair FIFO through the grating — that every earlier cell
-// from that member has been delivered, so detaching after hearing s-1
-// from everyone loses exactly nothing. Members that stay silent past
-// SuspectTimeout are judged like any gate laggard and the detach
-// proceeds optimistically.
-func (n *node) drainGate(s int) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	deadline := time.Now().Add(n.cfg.SuspectTimeout)
-	timer := time.AfterFunc(n.cfg.SuspectTimeout, func() {
-		n.mu.Lock()
-		n.mu.Unlock() //nolint:staticcheck // lock/unlock pairs the broadcast with waiters
-		n.cond.Broadcast()
-	})
-	defer timer.Stop()
-	for {
-		if n.fatalErr != nil {
-			return n.fatalErr
-		}
-		lagging := n.laggingLocked(s)
-		if len(lagging) == 0 {
-			return nil
-		}
-		if !time.Now().Before(deadline) {
-			for _, p := range lagging {
-				if !n.obs.Judge(p, n.heard[p], s) {
-					continue
-				}
-				if p == n.cfg.ID {
-					return fmt.Errorf(
-						"wire: node %d: own transmissions not returning during drain (link dead beyond epoch %d)",
-						n.cfg.ID, n.heard[p])
-				}
-				n.recordSuspicionLocked(p, s, s+2, false)
-			}
-			return nil
-		}
-		n.cond.Wait()
-	}
 }
 
 // laggingLocked lists the unsuspected members not yet heard at epoch
@@ -1316,7 +1308,7 @@ func (n *node) noteChangeLocked(epoch, p int, kind string) {
 // ---- Receive side ----
 
 // rxLoop drains frames until the emulator closes the fabric (EOF after
-// txDone) or a fatal error. Across scripted restarts it follows the
+// txDone) or a fatal error. Across re-registrations it follows the
 // replacement connection.
 func (n *node) rxLoop() {
 	for {
@@ -1324,46 +1316,45 @@ func (n *node) rxLoop() {
 		if conn == nil {
 			// Between relinks; wait for a replacement or the end.
 			n.mu.Lock()
-			for n.gen == gen && n.fatalErr == nil && !n.detached {
+			for n.gen == gen && n.fatalErr == nil {
 				n.cond.Wait()
 			}
-			detached := n.detached
 			fatal := n.fatalErr != nil
 			n.mu.Unlock()
-			if fatal || detached {
+			if fatal {
 				n.finishRx(nil)
 				return
 			}
 			continue
 		}
-		err := n.rxOnConn(conn)
+		n.rxOnConn(conn)
 
 		n.mu.Lock()
 		replaced := n.gen != gen
 		txDone := n.txDone
-		detached := n.detached
 		fatal := n.fatalErr != nil
 		n.mu.Unlock()
 
 		switch {
-		case fatal || detached:
+		case fatal:
 			n.finishRx(nil)
 			return
 		case replaced:
 			continue // a relink swapped the connection under us
 		case txDone:
-			// Normal end: the emulator closed the fabric once every input
-			// reached its final EOF; we have read everything routed to us.
+			// The emulator closed the fabric once every input reached its
+			// final EOF; we have read everything routed to us.
 			n.finishRx(nil)
 			return
 		default:
-			// Connection broke mid-run: re-register and keep receiving.
+			// The connection ended mid-run: the emulator retired it at a
+			// departure's half-close, or the link broke. Re-register and
+			// keep receiving.
 			if rerr := n.relink(gen); rerr != nil {
 				n.finishRx(rerr)
 				return
 			}
 		}
-		_ = err
 	}
 }
 
@@ -1381,21 +1372,22 @@ func (n *node) finishRx(err error) {
 // rxOnConn reads frames from one connection until it errors or EOFs,
 // decoding each into a reusable buffer — the receive loop allocates
 // nothing in steady state.
-func (n *node) rxOnConn(conn net.Conn) error {
+func (n *node) rxOnConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	prbs := phy.NewPRBS(1)
 	buf := make([]byte, 0, frameHeader+cell.HeaderLen+n.cfg.PayloadBytes)
 	for {
 		_, raw, err := ReadFrameInto(br, &buf)
 		if err != nil {
-			return err
+			return
 		}
 		n.handleCell(raw, prbs)
 	}
 }
 
-// handleCell processes one received cell: epoch bookkeeping for the gate,
-// PRBS verification, suspicion adoption, and stats.
+// handleCell processes one received cell: admission by welcome, epoch
+// bookkeeping for the gate, PRBS verification, announcement adoption,
+// and stats.
 func (n *node) handleCell(raw []byte, prbs *phy.PRBS) {
 	// The cell's payload aliases raw (the rx loop's reusable buffer);
 	// handleCell finishes with it before the next read overwrites it.
@@ -1411,37 +1403,35 @@ func (n *node) handleCell(raw []byte, prbs *phy.PRBS) {
 	defer n.mu.Unlock()
 	defer n.cond.Broadcast()
 
-	if n.dormant {
-		// A dormant (not-yet-admitted) node acts on control traffic only:
-		// hellos from fellow joiners, and the welcome addressed to it. All
-		// data cells are discarded unreceived — it is not a member yet, so
-		// nothing is scheduled toward it and nothing counts.
-		if c.Kind == cell.KindControl {
-			if c.Flags&cell.FlagHello != 0 && src >= 0 && src < n.cfg.Nodes {
-				n.helloSeen[src] = true
+	if c.Kind == cell.KindControl {
+		// Control cells ride outside the schedule. Hellos gate scripted
+		// expansions. A welcome admits this node at its switch epoch if
+		// the node is absent then and has not been admitted yet, or if
+		// the transmit side has not yet taken up an admission at a later
+		// epoch; stale welcomes are ignored. A welcome is also the one
+		// control cell that advances heard: it proves its sender has
+		// reached the epoch it was sent in.
+		if src < 0 || src >= n.cfg.Nodes {
+			return
+		}
+		if c.Flags&cell.FlagHello != 0 {
+			n.helloSeen[src] = true
+		}
+		if j, sw, ok := c.Join(); ok && j == n.cfg.ID && int(c.Dst) == n.cfg.ID {
+			if n.gapFrom <= sw && sw < n.gapUntil && (n.gapUntil == math.MaxInt || n.admitting) {
+				n.admitLocked(sw, c.Payload, src, ep)
 			}
-			if j, sw, ok := c.Join(); ok && j == n.cfg.ID && int(c.Dst) == n.cfg.ID {
-				if n.welcomeS < 0 || sw < n.welcomeS {
-					n.welcomeS = sw
-					// c.Payload aliases the rx buffer: decode the membership
-					// bitmap into a fresh slice before the next read.
-					members := make([]bool, n.cfg.Nodes)
-					for p := 0; p < n.cfg.Nodes && p/8 < len(c.Payload); p++ {
-						members[p] = c.Payload[p/8]&(1<<(p%8)) != 0
-					}
-					n.welcomeMembers = members
-				}
+			if ep > n.heard[src] {
+				n.heard[src] = ep
 			}
 		}
 		return
 	}
-	if c.Kind == cell.KindControl {
-		// Hellos matter to members (they gate scripted expansions); stale
-		// welcomes addressed to an already-admitted node do not. Control
-		// cells never advance heard — they ride outside the schedule.
-		if c.Flags&cell.FlagHello != 0 && src >= 0 && src < n.cfg.Nodes {
-			n.helloSeen[src] = true
-		}
+	// The one rule that keeps every count exact: a node acts on a cell
+	// only if it is a member at the epoch the cell carries. Cells sent to
+	// a departed node before the fabric compacts it out, and anything
+	// reaching a joiner before its switch epoch, are ignored.
+	if n.gapFrom <= ep && ep < n.gapUntil {
 		return
 	}
 

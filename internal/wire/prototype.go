@@ -227,7 +227,7 @@ func (fs *FaultStats) fillFailureView(cfg PrototypeConfig, stats []*NodeStats) e
 		}
 		// Consensus is asserted over full-timeline founders only: a node
 		// that joined, drained, or rejoined mid-run legitimately holds a
-		// partial failure view (awaitWelcome trims it to its admission).
+		// partial failure view (its welcome trims it to its admission).
 		if st.Drained || st.Rejoins > 0 || st.JoinedAt > 0 {
 			continue
 		}
