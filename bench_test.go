@@ -244,7 +244,7 @@ func BenchmarkAblationIdealBackpressure(b *testing.B) {
 // ---- Microbenchmarks of the hot substrates ----
 
 func BenchmarkAWGRRoute(b *testing.B) {
-	a := optics.NewAWGR(100, 6)
+	a := optics.NewAWGR(100)
 	sum := 0
 	for i := 0; i < b.N; i++ {
 		sum += a.Route(i%100, optics.Wavelength(i%100))

@@ -76,9 +76,6 @@ type Cell struct {
 	Payload []byte
 }
 
-// Last reports whether this is the flow's final cell.
-func (c *Cell) Last() bool { return c.Flags&FlagLast != 0 }
-
 // Suspicion returns the piggybacked failure suspicion, if any: the
 // suspected node id and the proposed fabric-wide schedule-switch epoch.
 func (c *Cell) Suspicion() (peer int, switchEpoch int, ok bool) {
@@ -156,17 +153,6 @@ func (c *Cell) Encode(buf []byte) []byte {
 	return append(buf, c.Payload...)
 }
 
-// Decode parses one cell from the front of buf, returning the cell and the
-// number of bytes consumed. The returned Payload is an owned copy,
-// independent of buf; use DecodeAlias to avoid the copy.
-func Decode(buf []byte) (Cell, int, error) {
-	c, n, err := DecodeAlias(buf)
-	if err == nil && c.Payload != nil {
-		c.Payload = append([]byte(nil), c.Payload...)
-	}
-	return c, n, err
-}
-
 // DecodeAlias decodes a cell whose Payload aliases buf directly — no
 // copy, no allocation. The caller must be done with the cell before it
 // overwrites or reuses buf; receive hot paths that verify the payload
@@ -209,7 +195,6 @@ type Reorder struct {
 	next      uint32
 	held      map[uint32]bool
 	peakCells int
-	delivered int
 }
 
 // NewReorder returns a buffer for a flow whose cells are cellBytes each.
@@ -241,21 +226,11 @@ func (r *Reorder) Add(seq uint32) int {
 		r.next++
 		n++
 	}
-	r.delivered += n
 	return n
 }
 
-// Holding returns the number of cells currently buffered out of order.
-func (r *Reorder) Holding() int { return len(r.held) }
-
 // PeakBytes returns the largest buffer occupancy observed, in bytes.
 func (r *Reorder) PeakBytes() int { return r.peakCells * r.cellBytes }
-
-// Delivered returns the number of cells released in order so far.
-func (r *Reorder) Delivered() int { return r.delivered }
-
-// Next returns the next expected sequence number.
-func (r *Reorder) Next() uint32 { return r.next }
 
 // CellsForBytes returns how many cells of the given payload capacity are
 // needed to carry a flow of flowBytes (at least one; a flow always sends

@@ -19,7 +19,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Payload: []byte("hello sirius"),
 	}
 	buf := c.Encode(nil)
-	got, n, err := Decode(buf)
+	got, n, err := DecodeAlias(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		!bytes.Equal(got.Payload, c.Payload) {
 		t.Errorf("round trip mismatch: %+v != %+v", got, c)
 	}
-	if !got.Last() {
+	if got.Flags&FlagLast == 0 {
 		t.Error("Last flag lost")
 	}
 }
@@ -43,7 +43,7 @@ func TestSuspicionPiggyback(t *testing.T) {
 	}
 	c.SetSuspicion(7, 123)
 	buf := c.Encode(nil)
-	got, _, err := Decode(buf)
+	got, _, err := DecodeAlias(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSuspicionPiggyback(t *testing.T) {
 	}
 	// FlagFin travels in flags like any other bit.
 	fin := Cell{Kind: KindControl, Flags: FlagFin, Src: 1, Dst: 2}
-	g2, _, err := Decode(fin.Encode(nil))
+	g2, _, err := DecodeAlias(fin.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLifecyclePiggyback(t *testing.T) {
 		t.Error("fresh cell already carries a drain")
 	}
 	c.SetJoin(5, 42)
-	got, _, err := Decode(c.Encode(nil))
+	got, _, err := DecodeAlias(c.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLifecyclePiggyback(t *testing.T) {
 	}
 	d := Cell{Kind: KindData, Src: 1, Dst: 2, Seq: 7, Payload: []byte{9}}
 	d.SetDrain(3, 17)
-	got2, _, err := Decode(d.Encode(nil))
+	got2, _, err := DecodeAlias(d.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLifecyclePiggyback(t *testing.T) {
 	}
 	// Hello and welcome are control cells distinguished by flags.
 	hello := Cell{Kind: KindControl, Flags: FlagHello, Src: 6}
-	g3, _, err := Decode(hello.Encode(nil))
+	g3, _, err := DecodeAlias(hello.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestLifecyclePiggyback(t *testing.T) {
 	}
 	welcome := Cell{Kind: KindControl, Src: 0, Dst: 6, Payload: []byte{0x3f}}
 	welcome.SetJoin(6, 42)
-	g4, _, err := Decode(welcome.Encode(nil))
+	g4, _, err := DecodeAlias(welcome.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +119,22 @@ func TestLifecyclePiggyback(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode([]byte{1, 2, 3}); err == nil {
+	if _, _, err := DecodeAlias([]byte{1, 2, 3}); err == nil {
 		t.Error("short buffer decoded")
 	}
 	c := Cell{Kind: KindData, Payload: []byte("x")}
 	buf := c.Encode(nil)
 	buf[0] = 0xFF
-	if _, _, err := Decode(buf); err == nil {
+	if _, _, err := DecodeAlias(buf); err == nil {
 		t.Error("bad magic decoded")
 	}
 	buf[0] = 0x5C
 	buf[1] = 99
-	if _, _, err := Decode(buf); err == nil {
+	if _, _, err := DecodeAlias(buf); err == nil {
 		t.Error("bad kind decoded")
 	}
 	buf[1] = byte(KindData)
-	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
+	if _, _, err := DecodeAlias(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated payload decoded")
 	}
 }
@@ -148,7 +148,7 @@ func TestEncodeStreaming(t *testing.T) {
 	}
 	off := 0
 	for i := 0; i < 5; i++ {
-		c, n, err := Decode(buf[off:])
+		c, n, err := DecodeAlias(buf[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 	f := func(kindRaw, flags uint8, src, dst uint16, flow, seq uint32, payload []byte) bool {
 		kind := Kind(kindRaw%3) + KindData
 		c := Cell{Kind: kind, Flags: flags, Src: src, Dst: dst, Flow: flow, Seq: seq, Payload: payload}
-		got, n, err := Decode(c.Encode(nil))
+		got, n, err := DecodeAlias(c.Encode(nil))
 		if err != nil || n != HeaderLen+len(payload) {
 			return false
 		}
@@ -189,8 +189,8 @@ func TestReorderInOrder(t *testing.T) {
 	if r.PeakBytes() != 0 {
 		t.Errorf("in-order delivery buffered %d bytes, want 0", r.PeakBytes())
 	}
-	if r.Delivered() != 10 {
-		t.Errorf("delivered = %d, want 10", r.Delivered())
+	if r.next != 10 {
+		t.Errorf("delivered = %d, want 10", r.next)
 	}
 }
 
@@ -199,14 +199,14 @@ func TestReorderOutOfOrder(t *testing.T) {
 	if r.Add(2) != 0 || r.Add(1) != 0 {
 		t.Fatal("future cells should not deliver")
 	}
-	if r.Holding() != 2 {
-		t.Fatalf("holding %d, want 2", r.Holding())
+	if len(r.held) != 2 {
+		t.Fatalf("holding %d, want 2", len(r.held))
 	}
 	// Cell 0 releases the whole run.
 	if got := r.Add(0); got != 3 {
 		t.Fatalf("released %d, want 3", got)
 	}
-	if r.Holding() != 0 {
+	if len(r.held) != 0 {
 		t.Error("buffer not drained")
 	}
 	if r.PeakBytes() != 200 {
@@ -239,7 +239,7 @@ func TestReorderPropertyAnyPermutation(t *testing.T) {
 		for _, seq := range perm {
 			total += r.Add(uint32(seq))
 		}
-		return total == n && r.Holding() == 0 && r.Next() == uint32(n)
+		return total == n && len(r.held) == 0 && r.next == uint32(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzDecode feeds arbitrary bytes to the decoder: it must never panic,
+// FuzzDecode feeds arbitrary bytes to DecodeAlias, the decoder the wire
+// node runs: it must never panic,
 // and whenever it accepts an input, re-encoding the result must
 // round-trip to an equivalent cell.
 func FuzzDecode(f *testing.F) {
@@ -14,7 +15,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add((&Cell{Kind: KindSync, Flags: FlagLast, Src: 1, Dst: 2, Flow: 3, Seq: 4}).Encode(nil))
 	f.Add(bytes.Repeat([]byte{0x5C}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, n, err := Decode(data)
+		c, n, err := DecodeAlias(data)
 		if err != nil {
 			return
 		}
@@ -22,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		re := c.Encode(nil)
-		c2, n2, err := Decode(re)
+		c2, n2, err := DecodeAlias(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -127,9 +127,6 @@ func New(n, q, perDest int, seed uint64) (*Controller, error) {
 	return c, nil
 }
 
-// QueueBound returns Q.
-func (c *Controller) QueueBound() int { return c.q }
-
 // DisallowDirect is an ablation switch: the destination itself is no
 // longer a valid intermediate, so every cell detours (pure VLB).
 func (c *Controller) DisallowDirect() { c.noDirect = true }
@@ -158,10 +155,6 @@ func (c *Controller) ExcludeVias(failed []bool) error {
 	c.failed = failed
 	return nil
 }
-
-// Queued returns the number of cells the controller believes intermediate
-// via holds for dst.
-func (c *Controller) Queued(via, dst int) int { return int(c.queued[via*c.n+dst]) }
 
 // Tick advances one epoch boundary:
 //
@@ -374,23 +367,4 @@ func (c *Controller) OnGrantUnused(via, dst int) {
 		panic(fmt.Sprintf("congestion: releasing non-existent grant at %d for %d", via, dst))
 	}
 	c.grantsOut[via*c.n+dst]--
-}
-
-// MaxQueue returns the current largest per-(via,dst) queue and the largest
-// aggregate per-node queue, in cells.
-func (c *Controller) MaxQueue() (perDest, perNode int) {
-	for via := 0; via < c.n; via++ {
-		sum := 0
-		for dst := 0; dst < c.n; dst++ {
-			q := int(c.queued[via*c.n+dst])
-			sum += q
-			if q > perDest {
-				perDest = q
-			}
-		}
-		if sum > perNode {
-			perNode = sum
-		}
-	}
-	return perDest, perNode
 }

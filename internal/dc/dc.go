@@ -112,13 +112,9 @@ func Counters() (flows, rackRuns int64) {
 	return statFlows.Load(), statRackRuns.Load()
 }
 
-// Run simulates server-level flows to completion.
-func Run(cfg Config, flows []workload.Flow) (*Results, error) {
-	return RunContext(context.Background(), cfg, flows)
-}
-
-// RunContext is Run with cancellation, forwarded to the underlying fluid
-// (intra-rack) and core (inter-rack fabric) simulations.
+// RunContext simulates server-level flows to completion, with
+// cancellation forwarded to the underlying fluid (intra-rack) and core
+// (inter-rack fabric) simulations.
 func RunContext(ctx context.Context, cfg Config, flows []workload.Flow) (*Results, error) {
 	switch {
 	case cfg.Racks < 2 || cfg.ServersPerRack < 1:

@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"context"
 	"testing"
 
 	"sirius/internal/rng"
@@ -38,7 +39,7 @@ func serverFlows(t *testing.T, c Config, n int, seed uint64) []workload.Flow {
 func TestRunMixedTraffic(t *testing.T) {
 	c := smallConfig()
 	flows := serverFlows(t, c, 800, 3)
-	res, err := Run(c, flows)
+	res, err := RunContext(context.Background(), c, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestIntraRackFasterThanInterRack(t *testing.T) {
 	const bytes = 20_000
 	intra := []workload.Flow{{ID: 0, Src: 0, Dst: 1, Bytes: bytes}}
 	inter := []workload.Flow{{ID: 0, Src: 0, Dst: c.ServersPerRack, Bytes: bytes}}
-	ri, err := Run(c, intra)
+	ri, err := RunContext(context.Background(), c, intra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Run(c, inter)
+	re, err := RunContext(context.Background(), c, inter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestServerNICFloor(t *testing.T) {
 	// 1 MB at 50 Gbps is 160 us even though the rack uplinks are faster.
 	c := smallConfig()
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: c.ServersPerRack, Bytes: 1 << 20}}
-	res, err := Run(c, flows)
+	res, err := RunContext(context.Background(), c, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestLocalStaysBounded(t *testing.T) {
 	c := smallConfig()
 	c.LocalCells = 48
 	flows := serverFlows(t, c, 1500, 9)
-	res, err := Run(c, flows)
+	res, err := RunContext(context.Background(), c, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,23 +125,23 @@ func TestValidation(t *testing.T) {
 	flows := []workload.Flow{{ID: 0, Src: 0, Dst: 5, Bytes: 10}}
 	bad := good
 	bad.Racks = 1
-	if _, err := Run(bad, flows); err == nil {
+	if _, err := RunContext(context.Background(), bad, flows); err == nil {
 		t.Error("1 rack accepted")
 	}
 	bad = good
 	bad.GratingPorts = 3
-	if _, err := Run(bad, flows); err == nil {
+	if _, err := RunContext(context.Background(), bad, flows); err == nil {
 		t.Error("non-dividing gratings accepted")
 	}
 	bad = good
 	bad.ServerRate = 0
-	if _, err := Run(bad, flows); err == nil {
+	if _, err := RunContext(context.Background(), bad, flows); err == nil {
 		t.Error("zero server rate accepted")
 	}
-	if _, err := Run(good, []workload.Flow{{ID: 0, Src: 0, Dst: 0, Bytes: 1}}); err == nil {
+	if _, err := RunContext(context.Background(), good, []workload.Flow{{ID: 0, Src: 0, Dst: 0, Bytes: 1}}); err == nil {
 		t.Error("self flow accepted")
 	}
-	if _, err := Run(good, []workload.Flow{{ID: 5, Src: 0, Dst: 1, Bytes: 1}}); err == nil {
+	if _, err := RunContext(context.Background(), good, []workload.Flow{{ID: 5, Src: 0, Dst: 1, Bytes: 1}}); err == nil {
 		t.Error("bad flow ID accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -122,7 +123,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	for name, build := range goldenCases() {
 		t.Run(name, func(t *testing.T) {
 			cfg, flows := build()
-			res, err := Run(cfg, flows)
+			res, err := RunContext(context.Background(), cfg, flows)
 			if err != nil {
 				t.Fatal(err)
 			}

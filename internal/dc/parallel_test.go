@@ -19,7 +19,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	c := smallConfig()
 	flows := serverFlows(t, c, 1000, 17)
 
-	want, err := Run(c, flows)
+	want, err := RunContext(context.Background(), c, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = Run(c, flows)
+			got[i], errs[i] = RunContext(context.Background(), c, flows)
 		}(i)
 	}
 	wg.Wait()
@@ -75,7 +75,7 @@ func TestParallelCancellation(t *testing.T) {
 func TestCountersAdvance(t *testing.T) {
 	f0, r0 := Counters()
 	c := smallConfig()
-	res, err := Run(c, serverFlows(t, c, 200, 8))
+	res, err := RunContext(context.Background(), c, serverFlows(t, c, 200, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

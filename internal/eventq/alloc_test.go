@@ -58,7 +58,7 @@ func TestRecycleReuse(t *testing.T) {
 	if e3 == e2 {
 		t.Errorf("second Schedule returned the still-queued event")
 	}
-	if q.Len() != 2 {
-		t.Errorf("Len = %d, want 2", q.Len())
+	if len(q.h) != 2 {
+		t.Errorf("Len = %d, want 2", len(q.h))
 	}
 }

@@ -1,5 +1,6 @@
-// Package eventq implements the event queue used by the event-driven parts
-// of the simulator (the Clos packet-level model and the fluid ESN model).
+// Package eventq implements the event queue of the packet-level Clos
+// model (internal/clos), the reference the fluid model is validated
+// against.
 //
 // It is a plain binary min-heap ordered by time, with a sequence number to
 // break ties deterministically in insertion order.
@@ -27,11 +28,8 @@ type Queue struct {
 	free *Event
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
-// Schedule enqueues fn to run at time at and returns the event handle,
-// which can be passed to Cancel. The Event comes from the queue's pool
+// Schedule enqueues fn to run at time at and returns the event handle.
+// The Event comes from the queue's pool
 // when one is free; the handle must not be retained past the point where
 // the event runs inside RunUntil (which recycles it).
 func (q *Queue) Schedule(at simtime.Time, fn func()) *Event {
@@ -52,9 +50,9 @@ func (q *Queue) Schedule(at simtime.Time, fn func()) *Event {
 }
 
 // Recycle returns a popped event to the queue's pool for reuse by a later
-// Schedule. Only events that have left the heap (via Pop, or cancellation)
-// are banked; recycling a queued or already-pooled event is a no-op. The
-// caller must not touch e afterwards.
+// Schedule. Only events that have left the heap (via Pop) are banked;
+// recycling a queued or already-pooled event is a no-op. The caller must
+// not touch e afterwards.
 func (q *Queue) Recycle(e *Event) {
 	if e == nil || e.idx != -1 {
 		return
@@ -63,23 +61,6 @@ func (q *Queue) Recycle(e *Event) {
 	e.Fn = nil // drop the closure so pooled events retain nothing
 	e.next = q.free
 	q.free = e
-}
-
-// Cancel removes a pending event. Cancelling an already-popped or
-// already-cancelled event is a no-op.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.idx < 0 || e.idx >= len(q.h) || q.h[e.idx] != e {
-		return
-	}
-	i := e.idx
-	last := len(q.h) - 1
-	q.swap(i, last)
-	q.h = q.h[:last]
-	e.idx = -1
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
 }
 
 // PeekTime returns the time of the earliest event. ok is false when empty.

@@ -51,7 +51,7 @@ func TestArchCompareReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tab.String()
+		return render(tab)
 	}
 	a, b := run(), run()
 	if a != b {

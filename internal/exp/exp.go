@@ -71,13 +71,6 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
-}
-
 // CSV writes the table as CSV (header row first; title and note as
 // leading comment lines).
 func (t *Table) CSV(w io.Writer) error {

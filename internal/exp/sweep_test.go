@@ -22,7 +22,7 @@ func TestSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tab.String()
+		return render(tab)
 	}
 	serial := run(1)
 	for i := 0; i < 2; i++ { // twice: completion order varies between runs
@@ -36,7 +36,7 @@ func TestSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.String() != serial {
+	if render(tab) != serial {
 		t.Fatal("nil-runner table diverged from explicit serial runner")
 	}
 
@@ -46,7 +46,7 @@ func TestSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.String() == serial {
+	if render(other) == serial {
 		t.Fatal("root seed change did not change the table")
 	}
 }
@@ -76,7 +76,7 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 	}
 	warmDur := time.Since(t0)
 
-	if cold.String() != warm.String() {
+	if render(cold) != render(warm) {
 		t.Fatal("cached table differs from computed table")
 	}
 	mans := rn.Manifests()

@@ -241,19 +241,10 @@ func (p *Plan) CrashEpoch(node int) int { return p.nodeEpoch(Crash, node) }
 // connection and re-register (a link flap), or -1.
 func (p *Plan) FlapEpoch(node int) int { return p.nodeEpoch(Flap, node) }
 
-// RestartEpoch returns the epoch at which the members are scripted to
-// re-admit the node after its earlier crash or drain (a rolling
-// restart), or -1.
-func (p *Plan) RestartEpoch(node int) int { return p.nodeEpoch(Restart, node) }
-
 // DrainEpoch returns the epoch at which the node announces its planned
 // drain, or -1. The node transmits epochs [0, DrainEpoch+2) and then
 // detaches; the switch epoch is DrainEpoch+2.
 func (p *Plan) DrainEpoch(node int) int { return p.nodeEpoch(Drain, node) }
-
-// ReaddEpoch returns the epoch at which the members are scripted to
-// re-admit the node after its planned drain, or -1.
-func (p *Plan) ReaddEpoch(node int) int { return p.nodeEpoch(Readd, node) }
 
 // ExpandEpoch returns the epoch at which the members are scripted to
 // admit this late-joining node, or -1 if the node is an initial member.

@@ -179,14 +179,14 @@ func TestLifecycleQueries(t *testing.T) {
 	if got := p.DrainEpoch(1); got != 20 {
 		t.Errorf("DrainEpoch(1) = %d", got)
 	}
-	if got := p.ReaddEpoch(1); got != 40 {
-		t.Errorf("ReaddEpoch(1) = %d", got)
+	if got := p.nodeEpoch(Readd, 1); got != 40 {
+		t.Errorf("readd epoch of node 1 = %d", got)
 	}
 	if got := p.FlapEpoch(3); got != 8 {
 		t.Errorf("FlapEpoch(3) = %d", got)
 	}
-	if got := p.RestartEpoch(2); got != 50 {
-		t.Errorf("RestartEpoch(2) = %d", got)
+	if got := p.nodeEpoch(Restart, 2); got != 50 {
+		t.Errorf("restart epoch of node 2 = %d", got)
 	}
 	// RejoinEpoch folds restart-after-crash and readd-after-drain.
 	if got := p.RejoinEpoch(1); got != 40 {

@@ -71,7 +71,7 @@ func TestSortedFastPath(t *testing.T) {
 		ru.SimTime != rs.SimTime || ru.GoodputNorm != rs.GoodputNorm {
 		t.Errorf("unsorted input diverged from its sorted equivalent:\n%+v\n%+v", ru, rs)
 	}
-	if !reflect.DeepEqual(ru.FCTAll.Values(), rs.FCTAll.Values()) {
+	if !reflect.DeepEqual(ru.FCTAll, rs.FCTAll) {
 		t.Error("FCT observations diverge between the sorted and fallback paths")
 	}
 }

@@ -169,26 +169,8 @@ func (o *Observer) Judge(peer, lastHeard, epoch int) (newlySuspected bool) {
 	return false
 }
 
-// Suspected reports whether the observer has suspected the peer.
-func (o *Observer) Suspected(peer int) bool { return o.suspected[peer] }
-
 // Forgive clears the suspicion state for a peer that has been re-admitted
 // to the fabric (a rolling restart or a drained node's re-add). After
 // Forgive, Judge can suspect the peer again — the once-only contract is
 // per admission, not per process lifetime.
 func (o *Observer) Forgive(peer int) { o.suspected[peer] = false }
-
-// MissThreshold returns the configured threshold.
-func (o *Observer) MissThreshold() int { return o.threshold }
-
-// SuspectedBy returns how many live observers individually suspect p —
-// for grey failures this can be a strict subset of the fabric.
-func (d *Detector) SuspectedBy(p int) int {
-	n := 0
-	for obs := 0; obs < d.cfg.Nodes; obs++ {
-		if obs != p && !d.confirmed[obs] && d.suspect[obs][p] {
-			n++
-		}
-	}
-	return n
-}

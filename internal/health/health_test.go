@@ -35,6 +35,17 @@ func (w *world) epoch() []int {
 	})
 }
 
+// suspectedBy returns how many live observers individually suspect p.
+func suspectedBy(d *Detector, p int) int {
+	n := 0
+	for obs := 0; obs < d.cfg.Nodes; obs++ {
+		if obs != p && !d.confirmed[obs] && d.suspect[obs][p] {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNoFalsePositives(t *testing.T) {
 	w := newWorld(t, 16)
 	for e := 0; e < 200; e++ {
@@ -105,7 +116,7 @@ func TestGreyFailureDetected(t *testing.T) {
 	if !confirmed {
 		t.Fatal("grey failure never confirmed")
 	}
-	if got := w.d.SuspectedBy(7); got != 2 {
+	if got := suspectedBy(w.d, 7); got != 2 {
 		t.Errorf("suspected by %d observers, want exactly the 2 grey links", got)
 	}
 }
@@ -176,14 +187,14 @@ func TestObserverSuspectsAfterThreshold(t *testing.T) {
 	if !o.Judge(1, lastHeard, 8) {
 		t.Fatal("not suspected after MissThreshold silent epochs")
 	}
-	if !o.Suspected(1) {
+	if !o.suspected[1] {
 		t.Fatal("Suspected not sticky")
 	}
 	if o.Judge(1, lastHeard, 9) {
 		t.Fatal("Judge fired twice for the same peer")
 	}
-	if o.MissThreshold() != 3 {
-		t.Errorf("threshold = %d", o.MissThreshold())
+	if o.threshold != 3 {
+		t.Errorf("threshold = %d", o.threshold)
 	}
 }
 
@@ -192,13 +203,13 @@ func TestObserverForgive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.Judge(1, 4, 8) || !o.Suspected(1) {
+	if !o.Judge(1, 4, 8) || !o.suspected[1] {
 		t.Fatal("setup: peer not suspected")
 	}
 	// A rolling restart re-admits the peer: suspicion clears, and the
 	// once-only Judge contract resets for the new admission.
 	o.Forgive(1)
-	if o.Suspected(1) {
+	if o.suspected[1] {
 		t.Fatal("Forgive did not clear suspicion")
 	}
 	if o.Judge(1, 20, 22) {
@@ -235,7 +246,7 @@ func TestObserverMatchesDetector(t *testing.T) {
 	detectorSuspectAt := -1
 	for e := 0; e < 30 && detectorSuspectAt < 0; e++ {
 		d.Epoch(func(obs, peer int) bool { return peer != 1 || e < crashAt })
-		if d.SuspectedBy(1) > 0 && detectorSuspectAt < 0 {
+		if suspectedBy(d, 1) > 0 && detectorSuspectAt < 0 {
 			detectorSuspectAt = e
 		}
 	}

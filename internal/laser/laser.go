@@ -4,7 +4,6 @@
 // laser's tuning latency, so the package provides behavioural models for
 // every design the paper builds or discusses:
 //
-//   - Ideal: zero-latency reference.
 //   - DSDBR: an off-the-shelf electrically tuned laser (~10 ms, drive
 //     circuitry not designed for fast tuning).
 //   - DampedDSDBR: the paper's custom drive PCB applying the tuning current
@@ -40,19 +39,6 @@ type Tuner interface {
 	// Channels returns how many wavelengths the source can emit.
 	Channels() int
 }
-
-// Ideal is a zero-latency tuner with the given channel count, used as a
-// reference in ablations.
-type Ideal struct{ NumChannels int }
-
-// TuneTime implements Tuner.
-func (l Ideal) TuneTime(from, to optics.Wavelength) simtime.Duration {
-	checkRange(l.NumChannels, from, to)
-	return 0
-}
-
-// Channels implements Tuner.
-func (l Ideal) Channels() int { return l.NumChannels }
 
 func checkRange(n int, ws ...optics.Wavelength) {
 	for _, w := range ws {
@@ -396,38 +382,4 @@ func sortDurations(ds []simtime.Duration) {
 			copy(ds[lo:hi], tmp[lo:hi])
 		}
 	}
-}
-
-// ExpectedFailuresPerYear returns the expected laser failures per year
-// for a pool of lasers with the given mean time between failures —
-// §4.5's reliability argument: lasers are the dominant transceiver
-// failure cause, and accelerated-aging studies put tunable-laser wear-out
-// at tens of years, no worse than fixed lasers.
-func ExpectedFailuresPerYear(lasers int, mtbfYears float64) float64 {
-	if lasers < 0 || mtbfYears <= 0 {
-		panic("laser: invalid reliability parameters")
-	}
-	return float64(lasers) / mtbfYears
-}
-
-// SpareSufficiency returns the probability that `spares` field-replaceable
-// backup lasers cover every failure in a pool of `lasers` over a service
-// window (failures Poisson with rate lasers/mtbf). Laser sharing (§4.5)
-// makes the spares shared too, so a rack needs only a handful.
-func SpareSufficiency(lasers, spares int, mtbfYears, windowYears float64) float64 {
-	if lasers < 0 || spares < 0 || mtbfYears <= 0 || windowYears < 0 {
-		panic("laser: invalid reliability parameters")
-	}
-	lambda := float64(lasers) * windowYears / mtbfYears
-	// P(X <= spares) for X ~ Poisson(lambda).
-	p := math.Exp(-lambda)
-	sum := p
-	for k := 1; k <= spares; k++ {
-		p *= lambda / float64(k)
-		sum += p
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
 }

@@ -8,6 +8,19 @@ import (
 	"sirius/internal/simtime"
 )
 
+// Ideal is a zero-latency tuner with the given channel count, a fixture
+// for the measurement helpers.
+type Ideal struct{ NumChannels int }
+
+// TuneTime implements Tuner.
+func (l Ideal) TuneTime(from, to optics.Wavelength) simtime.Duration {
+	checkRange(l.NumChannels, from, to)
+	return 0
+}
+
+// Channels implements Tuner.
+func (l Ideal) Channels() int { return l.NumChannels }
+
 func TestIdeal(t *testing.T) {
 	l := Ideal{NumChannels: 8}
 	if l.TuneTime(0, 7) != 0 {
@@ -230,46 +243,4 @@ func TestWavelengthRangePanics(t *testing.T) {
 		}
 	}()
 	NewFixedBank(19, 1).TuneTime(0, 19)
-}
-
-func TestReliability(t *testing.T) {
-	// §4.5: a rack with 256 uplinks and 8-way laser sharing runs 32
-	// lasers. At a 20-year MTBF that is 1.6 expected failures per year.
-	if got := ExpectedFailuresPerYear(32, 20); got != 1.6 {
-		t.Errorf("failures/year = %v, want 1.6", got)
-	}
-	// Two shared spares cover a quarter-year service window with ~99%
-	// probability; zero spares do not.
-	p2 := SpareSufficiency(32, 2, 20, 0.25)
-	if p2 < 0.99 {
-		t.Errorf("2 spares sufficiency = %v, want >= 0.99", p2)
-	}
-	p0 := SpareSufficiency(32, 0, 20, 0.25)
-	if p0 >= p2 {
-		t.Error("more spares should never hurt")
-	}
-	// Without sharing (256 individual lasers) the same two spares are
-	// far less adequate.
-	pNoShare := SpareSufficiency(256, 2, 20, 0.25)
-	if pNoShare >= p2 {
-		t.Errorf("sharing should reduce spare demand: %v vs %v", pNoShare, p2)
-	}
-	// Probabilities are valid and monotone in spares.
-	prev := 0.0
-	for s := 0; s <= 6; s++ {
-		p := SpareSufficiency(64, s, 20, 1)
-		if p < prev || p > 1 {
-			t.Fatalf("sufficiency not monotone/valid at %d spares: %v", s, p)
-		}
-		prev = p
-	}
-}
-
-func TestReliabilityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad MTBF did not panic")
-		}
-	}()
-	ExpectedFailuresPerYear(10, 0)
 }

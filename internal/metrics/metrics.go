@@ -1,6 +1,6 @@
 // Package metrics provides the measurement machinery for the simulation
-// harness: sample collectors with exact percentiles, CDFs for the figure
-// reproductions, and peak trackers for queue occupancy.
+// harness: sample collectors with exact percentiles and peak trackers
+// for queue occupancy.
 package metrics
 
 import (
@@ -100,51 +100,11 @@ func (s *Sample) ensureSorted() {
 	}
 }
 
-// Values returns a copy of all observations (unordered unless order
-// statistics were queried since the last Add).
-func (s *Sample) Values() []float64 {
-	return append([]float64(nil), s.vals...)
-}
-
 // Merge folds every observation of src into s.
 func (s *Sample) Merge(src *Sample) {
 	for _, v := range src.vals {
 		s.Add(v)
 	}
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	F float64 // cumulative fraction <= X
-}
-
-// CDF returns the empirical distribution at every distinct value.
-func (s *Sample) CDF() []CDFPoint {
-	if len(s.vals) == 0 {
-		return nil
-	}
-	s.ensureSorted()
-	var out []CDFPoint
-	n := float64(len(s.vals))
-	for i := 0; i < len(s.vals); i++ {
-		// Emit at the last occurrence of each distinct value.
-		if i+1 < len(s.vals) && s.vals[i+1] == s.vals[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s.vals[i], F: float64(i+1) / n})
-	}
-	return out
-}
-
-// FractionBelow returns the fraction of observations <= x.
-func (s *Sample) FractionBelow(x float64) float64 {
-	if len(s.vals) == 0 {
-		return math.NaN()
-	}
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.vals, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.vals))
 }
 
 // Peak tracks the running maximum of a gauge (e.g. queue occupancy).
@@ -163,20 +123,6 @@ func (p *Peak) Add(delta int) {
 		p.peak = p.cur
 	}
 }
-
-// Set sets the gauge to an absolute value.
-func (p *Peak) Set(v int) {
-	if v < 0 {
-		panic("metrics: negative gauge value")
-	}
-	p.cur = v
-	if v > p.peak {
-		p.peak = v
-	}
-}
-
-// Current returns the gauge's current value.
-func (p *Peak) Current() int { return p.cur }
 
 // Peak returns the maximum value observed.
 func (p *Peak) Peak() int { return p.peak }

@@ -62,56 +62,17 @@ func (g Grid) Nearest(nm float64) Wavelength {
 // output (i + j) mod N. It consumes no power, keeps no state, and performs
 // no retiming — properties the time-synchronization design relies on.
 type AWGR struct {
-	ports           int
-	insertionLossDB float64
-	crosstalkDB     float64
+	ports int
 }
 
-// NewAWGR returns a grating with the given port count and insertion loss.
-// The paper fabricates 100-port gratings at a maximum 6 dB insertion loss.
-// Adjacent-channel crosstalk defaults to -30 dB (typical of fabricated
-// AWGRs); use SetCrosstalk to model worse devices.
-func NewAWGR(ports int, insertionLossDB float64) *AWGR {
+// NewAWGR returns a grating with the given port count. The paper
+// fabricates 100-port gratings.
+func NewAWGR(ports int) *AWGR {
 	if ports <= 0 {
 		panic("optics: AWGR needs at least one port")
 	}
-	if insertionLossDB < 0 {
-		panic("optics: negative insertion loss")
-	}
-	return &AWGR{ports: ports, insertionLossDB: insertionLossDB, crosstalkDB: -30}
+	return &AWGR{ports: ports}
 }
-
-// SetCrosstalk sets the per-adjacent-channel leakage (dB, negative).
-func (a *AWGR) SetCrosstalk(db float64) {
-	if db >= 0 {
-		panic("optics: crosstalk must be negative dB")
-	}
-	a.crosstalkDB = db
-}
-
-// CrosstalkPenaltyDB returns the optical signal-to-crosstalk penalty at a
-// receiver when activeNeighbors other wavelengths traverse the grating
-// simultaneously (the worst case under Sirius' schedule is every port
-// lit). Leakage powers add; the penalty is the eye-closure equivalent
-// 10*log10(1 + 2*Xtotal) with Xtotal the summed relative leakage — small
-// for -30 dB devices even fully lit, which is why the paper's budget can
-// carry a flat 2 dB margin.
-func (a *AWGR) CrosstalkPenaltyDB(activeNeighbors int) float64 {
-	if activeNeighbors < 0 {
-		panic("optics: negative neighbor count")
-	}
-	if activeNeighbors > a.ports-1 {
-		activeNeighbors = a.ports - 1
-	}
-	leak := float64(activeNeighbors) * math.Pow(10, a.crosstalkDB/10)
-	return 10 * math.Log10(1+2*leak)
-}
-
-// Ports returns the port count.
-func (a *AWGR) Ports() int { return a.ports }
-
-// InsertionLossDB returns the device's insertion loss in dB.
-func (a *AWGR) InsertionLossDB() float64 { return a.insertionLossDB }
 
 // Route returns the output port for light of wavelength w entering input
 // port in. Wavelengths beyond the port count wrap cyclically (free spectral
@@ -126,25 +87,8 @@ func (a *AWGR) Route(in int, w Wavelength) int {
 	return (in + int(w)) % a.ports
 }
 
-// WavelengthFor returns the wavelength that input port in must use to reach
-// output port out: the inverse of Route within one free spectral range.
-func (a *AWGR) WavelengthFor(in, out int) Wavelength {
-	if in < 0 || in >= a.ports || out < 0 || out >= a.ports {
-		panic("optics: port outside range")
-	}
-	return Wavelength(((out-in)%a.ports + a.ports) % a.ports)
-}
-
 // DBmToMilliwatts converts optical power in dBm to milliwatts.
 func DBmToMilliwatts(dbm float64) float64 { return math.Pow(10, dbm/10) }
-
-// MilliwattsToDBm converts optical power in milliwatts to dBm.
-func MilliwattsToDBm(mw float64) float64 {
-	if mw <= 0 {
-		panic("optics: non-positive power")
-	}
-	return 10 * math.Log10(mw)
-}
 
 // LinkBudget captures the §4.5 end-to-end optical power accounting.
 type LinkBudget struct {
@@ -264,9 +208,4 @@ func (m BERModel) BER(receivedDBm float64, w Wavelength) float64 {
 		ber = 1e-300
 	}
 	return ber
-}
-
-// PostFECErrorFree reports whether the channel is error-free after FEC.
-func (m BERModel) PostFECErrorFree(receivedDBm float64, w Wavelength) bool {
-	return m.BER(receivedDBm, w) <= m.FECThreshold
 }

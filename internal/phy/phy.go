@@ -3,16 +3,12 @@
 //
 //   - the guardband budget: laser tuning + time-synchronization error +
 //     clock-and-data-recovery (CDR) lock + cell preamble;
-//   - phase-caching CDR: sub-nanosecond relocking by caching per-source
-//     clock phase, refreshed every epoch by the cyclic schedule;
-//   - amplitude caching: per-source receive gain, replacing slow AGC;
 //   - PRBS generation and checking, used by the prototype emulation to
 //     measure bit error rates;
-//   - synthetic intensity waveforms for the Fig. 8b/8c reproductions.
+//   - synthetic intensity waveforms for the Fig. 8c reproduction.
 package phy
 
 import (
-	"fmt"
 	"math/bits"
 
 	"sirius/internal/simtime"
@@ -107,100 +103,6 @@ func MaxGuardbandForOverhead(rate simtime.Rate, bytes int, overhead float64) sim
 	return simtime.Duration(float64(dataTime) * overhead / (1 - overhead))
 }
 
-// CDR models receiver clock/data recovery with phase caching (§A.1).
-// On every reconnection the receiver must align its sampling phase to the
-// incoming bit stream; learning it from scratch takes microseconds
-// (standard transceivers), but the cyclic schedule reconnects every node
-// pair each epoch, so the phase learned last time remains valid and is
-// simply reloaded.
-type CDR struct {
-	ColdLock   simtime.Duration // full training from scratch
-	CachedLock simtime.Duration // reload of a cached phase
-	// StaleAfter bounds how long a cached phase stays valid: beyond it the
-	// oscillators have drifted too far and a cold lock is needed.
-	StaleAfter simtime.Duration
-
-	phase map[int]simtime.Time // source -> last refresh time
-}
-
-// NewCDR returns a phase-caching CDR calibrated to the paper: microsecond
-// cold lock, sub-nanosecond cached lock.
-func NewCDR() *CDR {
-	return &CDR{
-		ColdLock:   2 * simtime.Microsecond,
-		CachedLock: 625 * simtime.Picosecond,
-		StaleAfter: 100 * simtime.Microsecond,
-		phase:      make(map[int]simtime.Time),
-	}
-}
-
-// LockTime returns the lock latency for a transmission from src arriving at
-// time now, and records the refresh.
-func (c *CDR) LockTime(src int, now simtime.Time) simtime.Duration {
-	last, ok := c.phase[src]
-	c.phase[src] = now
-	if !ok || now.Sub(last) > c.StaleAfter {
-		return c.ColdLock
-	}
-	return c.CachedLock
-}
-
-// Cached reports whether a fresh phase is cached for src at time now.
-func (c *CDR) Cached(src int, now simtime.Time) bool {
-	last, ok := c.phase[src]
-	return ok && now.Sub(last) <= c.StaleAfter
-}
-
-// AGC models receive-side gain control with amplitude caching (§4.5):
-// the optical power arriving from different sources differs (fiber
-// lengths, couplings), and a conventional automatic gain control loop is
-// far too slow for nanosecond slots. Sirius caches the per-source gain,
-// refreshed every epoch by the cyclic schedule, exactly like the CDR's
-// phase cache.
-type AGC struct {
-	// SettleCold is a full gain-acquisition from scratch.
-	SettleCold simtime.Duration
-	// SettleCached applies a cached gain value.
-	SettleCached simtime.Duration
-	// Tolerance is the acceptable gain error (dB) before re-acquisition.
-	Tolerance float64
-
-	gain map[int]float64 // source -> cached gain (dB)
-}
-
-// NewAGC returns an amplitude-caching gain control calibrated to the
-// prototype: microsecond-scale cold acquisition, effectively free cached
-// application.
-func NewAGC() *AGC {
-	return &AGC{
-		SettleCold:   5 * simtime.Microsecond,
-		SettleCached: 100 * simtime.Picosecond,
-		Tolerance:    0.5,
-		gain:         make(map[int]float64),
-	}
-}
-
-// Settle returns the settling time for a burst from src arriving with
-// the given received power, updating the cache. A cached gain within
-// Tolerance applies instantly; drifted or unknown sources pay the cold
-// acquisition.
-func (a *AGC) Settle(src int, receivedDBm float64) simtime.Duration {
-	want := -receivedDBm // gain that normalizes the burst amplitude
-	got, ok := a.gain[src]
-	a.gain[src] = want
-	if ok && abs(got-want) <= a.Tolerance {
-		return a.SettleCached
-	}
-	return a.SettleCold
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // PRBS is a pseudo-random binary sequence generator (PRBS31,
 // x^31 + x^28 + 1), the standard test pattern the prototype FPGAs exchange
 // to measure bit error rate.
@@ -278,36 +180,6 @@ type WaveformSample struct {
 	Intensity float64          // normalized 0..1
 }
 
-// SwitchWaveform synthesizes the intensity trace of a wavelength switch for
-// the Fig. 8b reproduction: the old channel's intensity falls with the
-// source SOA's fall time while the new channel's rises with the destination
-// SOA's rise time. It returns the two channels' traces sampled every step.
-func SwitchWaveform(fall, rise simtime.Duration, span, step simtime.Duration) (oldCh, newCh []WaveformSample) {
-	if step <= 0 {
-		panic("phy: non-positive step")
-	}
-	switchAt := span / 2
-	for t := simtime.Duration(0); t <= span; t += step {
-		oldCh = append(oldCh, WaveformSample{T: t, Intensity: edge(t, switchAt, fall, 1, 0)})
-		newCh = append(newCh, WaveformSample{T: t, Intensity: edge(t, switchAt, rise, 0, 1)})
-	}
-	return oldCh, newCh
-}
-
-// edge interpolates a linear transition from before to after starting at
-// at, lasting width.
-func edge(t, at, width simtime.Duration, before, after float64) float64 {
-	switch {
-	case t <= at:
-		return before
-	case width <= 0 || t >= at+width:
-		return after
-	default:
-		f := float64(t-at) / float64(width)
-		return before + (after-before)*f
-	}
-}
-
 // BurstWaveform synthesizes the Fig. 8c trace: consecutive cell slots with
 // intensity high during data and low during the guardband.
 func BurstWaveform(s Slot, slots int, step simtime.Duration) []WaveformSample {
@@ -325,9 +197,4 @@ func BurstWaveform(s Slot, slots int, step simtime.Duration) []WaveformSample {
 		out = append(out, WaveformSample{T: t, Intensity: inten})
 	}
 	return out
-}
-
-// String implements fmt.Stringer for debugging traces.
-func (w WaveformSample) String() string {
-	return fmt.Sprintf("%v:%.2f", w.T, w.Intensity)
 }

@@ -84,34 +84,6 @@ func TestMaxGuardbandForOverhead(t *testing.T) {
 	}
 }
 
-func TestCDRPhaseCaching(t *testing.T) {
-	c := NewCDR()
-	// First contact: cold lock (microseconds).
-	if got := c.LockTime(7, 0); got != c.ColdLock {
-		t.Errorf("first lock = %v, want cold %v", got, c.ColdLock)
-	}
-	// Reconnection one epoch (1.6 us) later: cached, sub-ns.
-	now := simtime.Time(0).Add(1600 * simtime.Nanosecond)
-	if got := c.LockTime(7, now); got != c.CachedLock {
-		t.Errorf("epoch relock = %v, want cached %v", got, c.CachedLock)
-	}
-	if c.CachedLock >= simtime.Nanosecond {
-		t.Error("cached lock should be sub-nanosecond")
-	}
-}
-
-func TestCDRStaleness(t *testing.T) {
-	c := NewCDR()
-	c.LockTime(3, 0)
-	stale := simtime.Time(0).Add(c.StaleAfter + simtime.Nanosecond)
-	if got := c.LockTime(3, stale); got != c.ColdLock {
-		t.Errorf("stale relock = %v, want cold", got)
-	}
-	if c.Cached(99, 0) {
-		t.Error("unknown source reported cached")
-	}
-}
-
 func TestPRBSProperties(t *testing.T) {
 	p := NewPRBS(0xBEEF)
 	// Roughly balanced ones/zeros.
@@ -242,31 +214,6 @@ func TestPRBSStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestSwitchWaveform(t *testing.T) {
-	old, newer := SwitchWaveform(912*simtime.Picosecond, 527*simtime.Picosecond,
-		4*simtime.Nanosecond, 100*simtime.Picosecond)
-	if len(old) != len(newer) || len(old) == 0 {
-		t.Fatal("trace lengths mismatch")
-	}
-	// Starts: old on, new off. Ends: old off, new on.
-	if old[0].Intensity != 1 || newer[0].Intensity != 0 {
-		t.Error("wrong initial intensities")
-	}
-	last := len(old) - 1
-	if old[last].Intensity != 0 || newer[last].Intensity != 1 {
-		t.Error("wrong final intensities")
-	}
-	// Monotone transitions.
-	for i := 1; i < len(old); i++ {
-		if old[i].Intensity > old[i-1].Intensity {
-			t.Fatal("old channel intensity rose during switch-off")
-		}
-		if newer[i].Intensity < newer[i-1].Intensity {
-			t.Fatal("new channel intensity fell during switch-on")
-		}
-	}
-}
-
 func TestBurstWaveform(t *testing.T) {
 	s := DefaultSlot()
 	trace := BurstWaveform(s, 3, simtime.Nanosecond)
@@ -293,41 +240,4 @@ func TestBurstWaveformPanics(t *testing.T) {
 		}
 	}()
 	BurstWaveform(DefaultSlot(), 0, simtime.Nanosecond)
-}
-
-func TestAGCAmplitudeCaching(t *testing.T) {
-	a := NewAGC()
-	// First burst from a source: cold acquisition.
-	if got := a.Settle(4, -6.0); got != a.SettleCold {
-		t.Errorf("first burst settled in %v, want cold %v", got, a.SettleCold)
-	}
-	// Same source, same power: cached, effectively instant.
-	if got := a.Settle(4, -6.0); got != a.SettleCached {
-		t.Errorf("repeat burst settled in %v, want cached %v", got, a.SettleCached)
-	}
-	// Small drift within tolerance stays cached.
-	if got := a.Settle(4, -6.3); got != a.SettleCached {
-		t.Errorf("small drift settled in %v, want cached", got)
-	}
-	// A big power change (re-spliced fiber) forces re-acquisition.
-	if got := a.Settle(4, -2.0); got != a.SettleCold {
-		t.Errorf("large drift settled in %v, want cold", got)
-	}
-	// Distinct sources have distinct caches.
-	if got := a.Settle(5, -6.0); got != a.SettleCold {
-		t.Errorf("new source settled in %v, want cold", got)
-	}
-}
-
-func TestGuardbandCoversCachedPath(t *testing.T) {
-	// Integration: with phase and amplitude caching warm, the end-to-end
-	// reconfiguration (laser + sync + CDR + AGC) fits the v2 guardband.
-	budget := SiriusV2Budget()
-	agc := NewAGC()
-	agc.Settle(1, -6)
-	total := budget.LaserTuning + budget.SyncError + budget.CDRLock +
-		agc.Settle(1, -6)
-	if total > budget.Total() {
-		t.Errorf("cached reconfiguration %v exceeds guardband %v", total, budget.Total())
-	}
 }

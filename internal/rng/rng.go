@@ -12,7 +12,7 @@ import (
 )
 
 // RNG is a deterministic xoshiro256** generator. It is not safe for
-// concurrent use; give each goroutine its own (use Split). The four state
+// concurrent use; give each goroutine its own. The four state
 // words are named fields rather than an array so Uint64 stays within the
 // compiler's inlining budget.
 type RNG struct {
@@ -38,10 +38,6 @@ func New(seed uint64) *RNG {
 	}
 	return &r
 }
-
-// Split returns a new generator deterministically derived from r, advancing
-// r. Use it to hand independent streams to sub-components.
-func (r *RNG) Split() *RNG { return New(r.Uint64()) }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche mix on 64 bits.
 func mix64(z uint64) uint64 {
@@ -145,12 +141,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -90,32 +90,3 @@ func TestFamilyProperties(t *testing.T) {
 		}
 	}
 }
-
-// TestSlotForMatchesScan cross-checks every family's (possibly closed
-// form) SlotFor against the brute-force ScanSlotFor over all ordered
-// pairs: both must agree on whether a pair is ever connected, and a
-// non-negative answer must name a slot that really reaches dst.
-func TestSlotForMatchesScan(t *testing.T) {
-	for _, n := range []int{8, 64, 256} {
-		for _, f := range familyGrid(t, n) {
-			t.Run(fmt.Sprintf("%s/n%d", f.name, n), func(t *testing.T) {
-				for src := 0; src < f.s.Nodes(); src++ {
-					for dst := 0; dst < f.s.Nodes(); dst++ {
-						u, s := f.s.SlotFor(src, dst)
-						su, ss := ScanSlotFor(f.s, src, dst)
-						if (u < 0) != (su < 0) {
-							t.Fatalf("pair (%d,%d): SlotFor (%d,%d) vs scan (%d,%d)",
-								src, dst, u, s, su, ss)
-						}
-						if u < 0 {
-							continue
-						}
-						if got := f.s.Dst(src, u, s); got != dst {
-							t.Fatalf("pair (%d,%d): SlotFor (%d,%d) reaches %d", src, dst, u, s, got)
-						}
-					}
-				}
-			})
-		}
-	}
-}

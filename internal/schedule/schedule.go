@@ -50,28 +50,6 @@ type Schedule interface {
 	// that no (destination, rx port) pair hears two transmitters in one
 	// slot.
 	RxPort(src, uplink int) int
-	// SlotFor returns an (uplink, slot) of the epoch in which src is
-	// connected directly to dst, or (-1, -1) when the schedule never
-	// connects the pair (e.g. a failed node in a Degraded schedule).
-	// When a pair is connected more than once per epoch any one
-	// occurrence may be returned.
-	SlotFor(src, dst int) (uplink, slot int)
-}
-
-// ScanSlotFor is the generic SlotFor fallback: a brute-force scan over
-// the epoch's (uplink, slot) grid. Implementations with closed forms
-// (Grouped, Rotor) avoid it; adapters over opaque schedules use it, and
-// tests cross-check the closed forms against it.
-func ScanSlotFor(s Schedule, src, dst int) (uplink, slot int) {
-	e, u := s.SlotsPerEpoch(), s.Uplinks()
-	for slot = 0; slot < e; slot++ {
-		for uplink = 0; uplink < u; uplink++ {
-			if s.Dst(src, uplink, slot) == dst {
-				return uplink, slot
-			}
-		}
-	}
-	return -1, -1
 }
 
 // Grouped is the paper's grating-group schedule.
@@ -161,17 +139,6 @@ func (g *Grouped) RxPort(src, uplink int) int {
 	return src/g.gratingPorts + plane*g.groups()
 }
 
-// SlotFor returns the slot of the epoch in which uplink u of src reaches
-// dst, and which uplink that is (first plane).
-func (g *Grouped) SlotFor(src, dst int) (uplink, slot int) {
-	if src < 0 || src >= g.nodes || dst < 0 || dst >= g.nodes {
-		panic("schedule: node out of range")
-	}
-	uplink = dst / g.gratingPorts
-	slot = ((dst-src)%g.gratingPorts + g.gratingPorts) % g.gratingPorts
-	return uplink, slot
-}
-
 func (g *Grouped) check(node, uplink, slot int) {
 	if node < 0 || node >= g.nodes {
 		panic(fmt.Sprintf("schedule: node %d out of range", node))
@@ -238,22 +205,6 @@ func (r *Rotor) Dst(node, uplink, slot int) int {
 // the uplink index itself identifies the receive port.
 func (r *Rotor) RxPort(src, uplink int) int { return uplink }
 
-// SlotFor implements Schedule analytically: src reaches dst on uplink u
-// in slot s iff s ≡ dst - src - uE (mod N) with 0 <= s < E, so each
-// uplink is probed for an in-epoch residue.
-func (r *Rotor) SlotFor(src, dst int) (uplink, slot int) {
-	if src < 0 || src >= r.nodes || dst < 0 || dst >= r.nodes {
-		panic("schedule: node out of range")
-	}
-	for u := 0; u < r.uplinks; u++ {
-		s := ((dst-src-u*r.slots)%r.nodes + r.nodes) % r.nodes
-		if s < r.slots {
-			return u, s
-		}
-	}
-	return -1, -1
-}
-
 // Degraded wraps a schedule after node failures: slots whose destination
 // has failed are unusable (-1), so each surviving node loses a
 // proportional 1/N of bandwidth per failed node (§4.5). The failed node's
@@ -275,9 +226,6 @@ func NewDegraded(s Schedule, failedNodes []int) (*Degraded, error) {
 	return &Degraded{Schedule: s, failed: f}, nil
 }
 
-// Failed reports whether node n is marked failed.
-func (d *Degraded) Failed(n int) bool { return d.failed[n] }
-
 // Dst implements Schedule, returning -1 for slots touching failed nodes.
 func (d *Degraded) Dst(node, uplink, slot int) int {
 	if d.failed[node] {
@@ -288,16 +236,6 @@ func (d *Degraded) Dst(node, uplink, slot int) int {
 		return -1
 	}
 	return dst
-}
-
-// SlotFor implements Schedule: pairs touching a failed node are never
-// connected; otherwise the wrapped schedule's answer stands (failures
-// only blank slots, they never move connections).
-func (d *Degraded) SlotFor(src, dst int) (uplink, slot int) {
-	if d.failed[src] || d.failed[dst] {
-		return -1, -1
-	}
-	return d.Schedule.SlotFor(src, dst)
 }
 
 // Compact rebuilds a rotor schedule over only the surviving nodes,

@@ -75,21 +75,6 @@ func TestGroupedProperties(t *testing.T) {
 	}
 }
 
-func TestGroupedSlotForInverse(t *testing.T) {
-	g, err := NewGrouped(64, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for src := 0; src < 64; src += 5 {
-		for dst := 0; dst < 64; dst++ {
-			u, s := g.SlotFor(src, dst)
-			if got := g.Dst(src, u, s); got != dst {
-				t.Fatalf("SlotFor(%d,%d) = (%d,%d) but Dst = %d", src, dst, u, s, got)
-			}
-		}
-	}
-}
-
 func TestGroupedWavelengthLaserSharing(t *testing.T) {
 	// §4.5: load-balanced routing lets all transceivers on a node use the
 	// same wavelength at any timeslot, enabling laser sharing. In the
@@ -125,7 +110,7 @@ func TestGroupedWavelengthMatchesAWGR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awgr := optics.NewAWGR(8, 6)
+	awgr := optics.NewAWGR(8)
 	for node := 0; node < 32; node++ {
 		for u := 0; u < g.Uplinks(); u++ {
 			for s := 0; s < g.SlotsPerEpoch(); s++ {
@@ -191,7 +176,7 @@ func TestDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Failed(3) || d.Failed(2) {
+	if !d.failed[3] || d.failed[2] {
 		t.Error("failure flags wrong")
 	}
 	// Slots to/from node 3 are -1; the rest intact and contention-free.
@@ -306,16 +291,6 @@ func TestGroupedMultiplicityStagger(t *testing.T) {
 	}
 }
 
-func TestSlotForPanics(t *testing.T) {
-	g, _ := NewGrouped(8, 4, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("SlotFor out of range did not panic")
-		}
-	}()
-	g.SlotFor(0, 99)
-}
-
 func TestCheckPanics(t *testing.T) {
 	g, _ := NewGrouped(8, 4, 1)
 	for name, f := range map[string]func(){
@@ -387,7 +362,7 @@ func TestDegradedMultipleFailures(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, f := range failed {
-			if !d.Failed(f) {
+			if !d.failed[f] {
 				t.Errorf("%s: node %d not flagged failed", name, f)
 			}
 		}

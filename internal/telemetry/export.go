@@ -74,13 +74,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for _, h := range hists {
 		hp := HistogramPoint{Name: h.name, Labels: h.labels, Buckets: make([]int64, histBuckets)}
-		for si := range h.shards {
-			sh := &h.shards[si]
-			for b := 0; b < histBuckets; b++ {
-				hp.Buckets[b] += sh.buckets[b].Load()
-			}
-			hp.Sum += math.Float64frombits(sh.sumBits.Load())
+		for b := 0; b < histBuckets; b++ {
+			hp.Buckets[b] = h.buckets[b].Load()
 		}
+		hp.Sum = math.Float64frombits(h.sumBits.Load())
 		for _, n := range hp.Buckets {
 			hp.Count += n
 		}
@@ -108,81 +105,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		return a.Labels < b.Labels
 	})
 	return s
-}
-
-// Merge folds other into s: matching series (same name+labels) sum
-// their values/buckets; series only in other are appended. The result
-// stays sorted. Merging N per-worker snapshots equals one snapshot of
-// a registry all workers wrote to (pinned by a property test).
-func (s *Snapshot) Merge(other *Snapshot) {
-	if other == nil {
-		return
-	}
-	ci := make(map[string]int, len(s.Counters))
-	for i, c := range s.Counters {
-		ci[c.Name+c.Labels] = i
-	}
-	for _, c := range other.Counters {
-		if i, ok := ci[c.Name+c.Labels]; ok {
-			s.Counters[i].Value += c.Value
-		} else {
-			s.Counters = append(s.Counters, c)
-		}
-	}
-	gi := make(map[string]int, len(s.Gauges))
-	for i, g := range s.Gauges {
-		gi[g.Name+g.Labels] = i
-	}
-	for _, g := range other.Gauges {
-		if i, ok := gi[g.Name+g.Labels]; ok {
-			// Gauges are last-writer-wins on merge: other is assumed
-			// newer. (Summing gauges is rarely meaningful.)
-			s.Gauges[i].Value = g.Value
-		} else {
-			s.Gauges = append(s.Gauges, g)
-		}
-	}
-	hi := make(map[string]int, len(s.Histograms))
-	for i, h := range s.Histograms {
-		hi[h.Name+h.Labels] = i
-	}
-	for _, h := range other.Histograms {
-		if i, ok := hi[h.Name+h.Labels]; ok {
-			dst := &s.Histograms[i]
-			for b := range dst.Buckets {
-				if b < len(h.Buckets) {
-					dst.Buckets[b] += h.Buckets[b]
-				}
-			}
-			dst.Count += h.Count
-			dst.Sum += h.Sum
-		} else {
-			hc := h
-			hc.Buckets = append([]int64(nil), h.Buckets...)
-			s.Histograms = append(s.Histograms, hc)
-		}
-	}
-	sort.Slice(s.Counters, func(i, j int) bool {
-		a, b := s.Counters[i], s.Counters[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Labels < b.Labels
-	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		a, b := s.Gauges[i], s.Gauges[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Labels < b.Labels
-	})
-	sort.Slice(s.Histograms, func(i, j int) bool {
-		a, b := s.Histograms[i], s.Histograms[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Labels < b.Labels
-	})
 }
 
 // WritePrometheus writes the snapshot in Prometheus text exposition
@@ -286,17 +208,6 @@ func (s *Snapshot) WriteJSONFile(path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// Counter returns the value of the named counter series ("" labels
-// means the rendered label string must match exactly), or 0.
-func (s *Snapshot) Counter(name, labels string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name && c.Labels == labels {
-			return c.Value
-		}
-	}
-	return 0
 }
 
 // CounterTotal sums all series of the named counter across label sets.

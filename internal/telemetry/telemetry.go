@@ -14,8 +14,8 @@
 //
 // Instrumentation sits inside the core slot loop and the fluid event
 // loop, both of which carry AllocsPerRun == 0 contracts. Every hot-path
-// operation here — Shard.Add, Gauge.Set, Histogram.Observe and the
-// HistShard variants — is a plain atomic op on pre-allocated memory:
+// operation here — Shard.Inc, Gauge.Set and Histogram.Observe — is a
+// plain atomic op on pre-allocated memory:
 // no maps, no interfaces, no boxing. Series creation (GetOrCreate*)
 // allocates and takes a mutex, so callers resolve series once at setup
 // time and keep the returned handle.
@@ -26,8 +26,7 @@
 // Counter.Add folds into shard 0 (fine for uncontended call sites);
 // goroutine-heavy writers call Counter.Shard() once to receive a
 // round-robin *Shard handle and increment that without contention.
-// Snapshots sum the shards; Snapshot.Merge sums matching series across
-// snapshots, and a property test pins merge == serial reference.
+// Snapshots sum the shards.
 package telemetry
 
 import (
@@ -58,9 +57,6 @@ type Shard struct {
 	v atomic.Int64
 	_ [56]byte // pad to a typical cache line; avoid false sharing
 }
-
-// Add increments the shard by n.
-func (s *Shard) Add(n int64) { s.v.Add(n) }
 
 // Inc increments the shard by one.
 func (s *Shard) Inc() { s.v.Add(1) }
@@ -115,17 +111,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
 
-// Add adds d to the gauge (CAS loop; safe for concurrent adders).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -144,30 +129,12 @@ const (
 	histBuckets = 1 + (histMaxExp - histMinExp) + 1
 )
 
-// histShardData is one shard of a histogram: bucket counts plus the
-// running sum (float64 bits, CAS-updated).
-type histShardData struct {
-	buckets [histBuckets]atomic.Int64
-	sumBits atomic.Uint64
-	_       [48]byte
-}
-
-// HistShard is a per-caller histogram shard handle, analogous to Shard.
-type HistShard struct{ d *histShardData }
-
-// Observe records v into this shard: one atomic add on the bucket and
-// a CAS on the sum. Zero allocations.
-func (h HistShard) Observe(v float64) {
-	h.d.buckets[bucketIndex(v)].Add(1)
-	addFloat(&h.d.sumBits, v)
-}
-
-// Histogram is a sharded log-base-2 histogram.
+// Histogram is a log-base-2 histogram.
 type Histogram struct {
-	name   string
-	labels string
-	shards []histShardData
-	next   atomic.Uint32
+	name    string
+	labels  string
+	buckets [histBuckets]atomic.Int64
+	sumBits atomic.Uint64 // running sum, float64 bits, CAS-updated
 }
 
 // bucketIndex maps a value to its bucket. Values land in the bucket
@@ -202,16 +169,11 @@ func addFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// Observe records v into shard 0.
+// Observe records v: one atomic add on the bucket and a CAS on the
+// sum. Zero allocations.
 func (h *Histogram) Observe(v float64) {
-	h.shards[0].buckets[bucketIndex(v)].Add(1)
-	addFloat(&h.shards[0].sumBits, v)
-}
-
-// Shard hands out a per-caller shard handle, round-robin.
-func (h *Histogram) Shard() HistShard {
-	i := h.next.Add(1) - 1
-	return HistShard{&h.shards[int(i)%len(h.shards)]}
+	h.buckets[bucketIndex(v)].Add(1)
+	addFloat(&h.sumBits, v)
 }
 
 // BucketBound returns the inclusive upper bound of bucket i as used in
@@ -227,10 +189,6 @@ func BucketBound(i int) float64 {
 		return math.Ldexp(1, histMinExp+i)
 	}
 }
-
-// NumBuckets is the number of histogram buckets including underflow
-// and +Inf overflow.
-func NumBuckets() int { return histBuckets }
 
 // Registry holds named series. GetOrCreate* are mutex-guarded and may
 // allocate; all returned handles are lock-free afterwards.
@@ -378,7 +336,7 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		return h
 	}
 	r.checkName(name, kindHistogram)
-	h := &Histogram{name: name, labels: ls, shards: make([]histShardData, shardCount)}
+	h := &Histogram{name: name, labels: ls}
 	r.hists[key] = h
 	return h
 }

@@ -35,7 +35,7 @@ func TestCounterShards(t *testing.T) {
 	c := r.Counter("sharded_total")
 	// Grab more handles than shards; all must still sum correctly.
 	for i := 0; i < shardCount*3; i++ {
-		c.Shard().Add(1)
+		c.Shard().Inc()
 	}
 	if got := c.Value(); got != int64(shardCount*3) {
 		t.Fatalf("Value = %d, want %d", got, shardCount*3)
@@ -60,10 +60,6 @@ func TestGauge(t *testing.T) {
 	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Fatalf("Value = %g", g.Value())
-	}
-	g.Add(-0.5)
-	if g.Value() != 1.0 {
-		t.Fatalf("after Add, Value = %g", g.Value())
 	}
 	g.SetInt(9)
 	if g.Value() != 9 {
@@ -120,7 +116,7 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 	for _, v := range []float64{0.5, 0.5, 2, 1e30} {
 		h.Observe(v)
 	}
-	h.Shard().Observe(4)
+	h.Observe(4)
 	s := r.Snapshot()
 	if len(s.Histograms) != 1 {
 		t.Fatalf("snapshot has %d histograms", len(s.Histograms))
@@ -240,43 +236,6 @@ var errBadInt = errString("bad int")
 type errString string
 
 func (e errString) Error() string { return string(e) }
-
-func TestSnapshotMerge(t *testing.T) {
-	ra, rb := NewRegistry(), NewRegistry()
-	ra.Counter("c_total").Add(3)
-	rb.Counter("c_total").Add(4)
-	rb.Counter("only_b_total").Add(1)
-	ra.Histogram("h").Observe(1)
-	rb.Histogram("h").Observe(2)
-	rb.Gauge("g").Set(5)
-
-	s := ra.Snapshot()
-	s.Merge(rb.Snapshot())
-	if got := s.Counter("c_total", ""); got != 7 {
-		t.Fatalf("merged c_total = %d, want 7", got)
-	}
-	if got := s.Counter("only_b_total", ""); got != 1 {
-		t.Fatalf("merged only_b_total = %d, want 1", got)
-	}
-	var h *HistogramPoint
-	for i := range s.Histograms {
-		if s.Histograms[i].Name == "h" {
-			h = &s.Histograms[i]
-		}
-	}
-	if h == nil || h.Count != 2 || h.Sum != 3 {
-		t.Fatalf("merged histogram %+v", h)
-	}
-	found := false
-	for _, g := range s.Gauges {
-		if g.Name == "g" && g.Value == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("merged gauges %+v", s.Gauges)
-	}
-}
 
 func TestInvalidNamesPanic(t *testing.T) {
 	r := NewRegistry()

@@ -55,15 +55,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{start: time.Now(), buf: make([]TraceEvent, capacity)}
 }
 
-// Start returns the tracer's epoch: the wall time corresponding to
-// ts == 0.
-func (t *Tracer) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 func (t *Tracer) push(ev TraceEvent) {
 	t.mu.Lock()
 	t.buf[t.head] = ev

@@ -10,12 +10,6 @@
 // leader is replaced within microseconds. No atomic clocks are required:
 // absolute drift is irrelevant as long as the nodes stay synchronized
 // *with each other*.
-//
-// The package also implements the §A.2 propagation-delay calibration: the
-// passive core lets a node measure its physical distance to the AWGR (via
-// its self-connection slot) and start its epochs early by exactly that
-// delay, so that cells from nodes at different fiber distances arrive at
-// the grating aligned to the slot boundary.
 package timesync
 
 import (
@@ -24,7 +18,6 @@ import (
 
 	"sirius/internal/rng"
 	"sirius/internal/simtime"
-	"sirius/internal/topo"
 )
 
 // Oscillator models a node's local clock: a static frequency error plus a
@@ -106,12 +99,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	return n, nil
 }
-
-// SetOscillator overrides node i's oscillator (for byzantine-clock tests).
-func (n *Network) SetOscillator(i int, o Oscillator) { n.osc[i] = o }
-
-// Fail marks node i failed: it stops serving as leader and stops updating.
-func (n *Network) Fail(i int) { n.failed[i] = true }
 
 // Leader returns the current leader, skipping failed nodes (the automatic
 // replacement of §4.4).
@@ -199,75 +186,4 @@ func (n *Network) Run(epochs, warmup int) Stats {
 	}
 	s.EndSpreadPS = n.Spread()
 	return s
-}
-
-// Calibration holds the per-node propagation compensation of §A.2.
-type Calibration struct {
-	// Delay is each node's one-way fiber delay to the grating layer,
-	// measured via the loopback self-slot (RTT/2).
-	Delay []simtime.Duration
-}
-
-// Calibrate measures every node's distance to the AWGR. In the real system
-// the node transmits to itself on its self-connection slot and halves the
-// round-trip time; here that measurement is exact by construction.
-func Calibrate(fiberM []float64) Calibration {
-	c := Calibration{Delay: make([]simtime.Duration, len(fiberM))}
-	for i, m := range fiberM {
-		rtt := topo.PropagationDelay(2 * m)
-		c.Delay[i] = rtt / 2
-	}
-	return c
-}
-
-// CalibrateNoisy models the real §A.2 measurement: each node times its
-// loopback round trip with per-sample jitter (receiver quantization,
-// residual sync error) and averages `samples` measurements. It returns
-// the calibration and the worst per-node estimation error.
-func CalibrateNoisy(fiberM []float64, noisePS float64, samples int, seed uint64) (Calibration, simtime.Duration) {
-	if samples < 1 {
-		panic("timesync: need >= 1 sample")
-	}
-	r := rng.New(seed)
-	c := Calibration{Delay: make([]simtime.Duration, len(fiberM))}
-	var worst simtime.Duration
-	for i, m := range fiberM {
-		truth := topo.PropagationDelay(m)
-		sum := 0.0
-		for s := 0; s < samples; s++ {
-			rtt := 2*float64(truth) + r.Normal(0, noisePS*float64(simtime.Picosecond))
-			sum += rtt / 2
-		}
-		c.Delay[i] = simtime.Duration(sum / float64(samples))
-		err := c.Delay[i] - truth
-		if err < 0 {
-			err = -err
-		}
-		if err > worst {
-			worst = err
-		}
-	}
-	return c, worst
-}
-
-// TxAdvance returns how much earlier than the nominal slot boundary node i
-// must start transmitting: exactly its fiber delay, so the cell reaches
-// the grating on the boundary ("the longer the distance, the sooner it
-// starts").
-func (c Calibration) TxAdvance(i int) simtime.Duration { return c.Delay[i] }
-
-// ArrivalAtGrating returns when a cell transmitted by node i for the slot
-// starting at slotStart reaches the grating, given the calibration.
-func (c Calibration) ArrivalAtGrating(i int, slotStart simtime.Time) simtime.Time {
-	return slotStart.Add(-c.TxAdvance(i)).Add(c.Delay[i])
-}
-
-// RxDelay returns how much after the slot boundary node j's receive window
-// must open for a cell that crossed the grating on the boundary.
-func (c Calibration) RxDelay(j int) simtime.Duration { return c.Delay[j] }
-
-// PairLatency returns the end-to-end propagation latency from node i to
-// node j through the grating.
-func (c Calibration) PairLatency(i, j int) simtime.Duration {
-	return c.Delay[i] + c.Delay[j]
 }

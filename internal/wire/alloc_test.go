@@ -122,11 +122,7 @@ func TestNodeReceivePathZeroAlloc(t *testing.T) {
 	tx.Reset(prbsSeed(2, 0, seq))
 	tx.Fill(payload)
 	c := cell.Cell{Kind: cell.KindData, Src: 2, Dst: 0, Seq: seq, Payload: payload}
-	var fb bytes.Buffer
-	if err := WriteFrame(&fb, 6, c.Encode(nil)); err != nil {
-		t.Fatal(err)
-	}
-	wire := fb.Bytes()
+	wire := appendFrame(nil, 6, &c)
 
 	r := bytes.NewReader(wire)
 	buf := make([]byte, 0, len(wire))

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -28,11 +27,7 @@ func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func testFrame(t testing.TB, src, dst uint16, seq uint32, payload int) []byte {
 	t.Helper()
 	c := cell.Cell{Kind: cell.KindData, Src: src, Dst: dst, Seq: seq, Payload: make([]byte, payload)}
-	var out bytes.Buffer
-	if err := WriteFrame(&out, uint8(dst), c.Encode(nil)); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return appendFrame(nil, uint8(dst), &c)
 }
 
 // TestBatchingDifferential runs the 4-node clean fabric with output
@@ -112,7 +107,7 @@ func TestParkHighWaterMark(t *testing.T) {
 	for i := 0; i < parkLimit+10; i++ {
 		e.deliver(2, frame)
 	}
-	if got := e.ParkedPeak(); got != parkLimit {
+	if got := e.parkedPeak.Load(); got != parkLimit {
 		t.Errorf("ParkedPeak = %d, want %d", got, parkLimit)
 	}
 	if got := e.Dropped(); got != 10 {
@@ -122,7 +117,7 @@ func TestParkHighWaterMark(t *testing.T) {
 	e.out[1].conn = &sinkConn{}
 	e.out[1].gen = 1
 	e.deliver(1, frame)
-	if got := e.ParkedPeak(); got != parkLimit {
+	if got := e.parkedPeak.Load(); got != parkLimit {
 		t.Errorf("ParkedPeak moved to %d after delivery to a live port", got)
 	}
 }

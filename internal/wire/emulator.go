@@ -38,22 +38,6 @@ const (
 	DefaultFlushInterval = 500 * time.Microsecond
 )
 
-// PortError is a structured per-port failure observed by the emulator. One
-// broken port never takes the fabric down; the error is recorded and the
-// emulator keeps serving the others.
-type PortError struct {
-	Port int
-	Op   string // "handshake", "read", "write"
-	Err  error
-}
-
-func (e *PortError) Error() string {
-	return fmt.Sprintf("wire: port %d: %s: %v", e.Port, e.Op, e.Err)
-}
-
-// Unwrap exposes the underlying error.
-func (e *PortError) Unwrap() error { return e.Err }
-
 // framePool recycles batch/park buffers. Buffers move by ownership
 // transfer: an output port's accumulation blob becomes a parked chunk
 // without copying, and returns to the pool once replayed to a
@@ -123,11 +107,10 @@ type Emulator struct {
 	out []outPort
 
 	mu         sync.Mutex
-	regCount   []int   // how many times each port has registered
-	eofFinal   []bool  // the port's input stream has spoken its last
-	portErrs   []error // structured per-port failures, in order observed
-	closed     bool    // Close was called
-	completing bool    // fabric completed; shutting down
+	regCount   []int  // how many times each port has registered
+	eofFinal   []bool // the port's input stream has spoken its last
+	closed     bool   // Close was called
+	completing bool   // fabric completed; shutting down
 
 	// Per-input-port corruption substreams: rngs[p] is seeded from
 	// PointSeed(seed, p) and consumed in that port's frame order, so bit
@@ -138,7 +121,6 @@ type Emulator struct {
 	rngs []*rng.RNG
 
 	routed      atomic.Int64
-	bitsFlipped atomic.Int64
 	dropped     atomic.Int64 // frames lost to dead or over-parked ports
 	greyDropped atomic.Int64 // frames blackholed by Grey fault events
 	rejected    atomic.Int64 // connections refused at handshake
@@ -233,9 +215,6 @@ func (e *Emulator) Addr() string { return e.ln.Addr().String() }
 // Routed returns the number of frames forwarded so far.
 func (e *Emulator) Routed() int64 { return e.routed.Load() }
 
-// BitsFlipped returns the number of payload bits corrupted so far.
-func (e *Emulator) BitsFlipped() int64 { return e.bitsFlipped.Load() }
-
 // Dropped returns frames lost to dead or over-parked output ports.
 func (e *Emulator) Dropped() int64 { return e.dropped.Load() }
 
@@ -244,17 +223,6 @@ func (e *Emulator) GreyDropped() int64 { return e.greyDropped.Load() }
 
 // Rejected returns the number of connections refused at handshake.
 func (e *Emulator) Rejected() int64 { return e.rejected.Load() }
-
-// ParkedPeak returns the high-water mark of frames parked for any single
-// absent port — how deep the worst park queue ever got.
-func (e *Emulator) ParkedPeak() int64 { return e.parkedPeak.Load() }
-
-// PortErrors returns the structured per-port failures observed so far.
-func (e *Emulator) PortErrors() []error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]error(nil), e.portErrs...)
-}
 
 // Close shuts the emulator down: the listener and all connections are
 // closed and Serve returns nil. Batched frames still holding a live
@@ -390,14 +358,13 @@ func (e *Emulator) admit(conn net.Conn) {
 	if _, err := io.ReadFull(conn, h[:]); err != nil {
 		e.rejected.Add(1)
 		e.tel.rejected.Inc()
-		e.recordErr(&PortError{Port: -1, Op: "handshake", Err: err})
 		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	port, flags, status, err := ParseHandshake(h, e.ports)
 	if err != nil {
-		e.reject(conn, port, status, err)
+		e.reject(conn, status)
 		return
 	}
 
@@ -413,7 +380,7 @@ func (e *Emulator) admit(conn net.Conn) {
 	if op.conn != nil && flags&HsReRegister == 0 {
 		e.mu.Unlock()
 		op.mu.Unlock()
-		e.reject(conn, port, HsDuplicate, fmt.Errorf("wire: port %d already connected", port))
+		e.reject(conn, HsDuplicate)
 		return
 	}
 	if old := op.conn; old != nil {
@@ -432,14 +399,14 @@ func (e *Emulator) admit(conn net.Conn) {
 	// Reply and replay the park queue while still holding op.mu, so no
 	// freshly routed frame can jump ahead of the backlog.
 	if _, err := conn.Write([]byte{HsOK, uint8(port)}); err != nil {
-		e.retireConnLocked(port, op, &PortError{Port: port, Op: "write", Err: err})
+		e.retireConnLocked(port, op)
 		op.mu.Unlock()
 		return
 	}
 	for len(op.parked) > 0 {
 		ch := op.parked[0]
 		if _, err := conn.Write(*ch.buf); err != nil {
-			e.retireConnLocked(port, op, &PortError{Port: port, Op: "write", Err: err})
+			e.retireConnLocked(port, op)
 			op.mu.Unlock()
 			return
 		}
@@ -459,21 +426,13 @@ func (e *Emulator) admit(conn net.Conn) {
 }
 
 // reject answers a refused connection with its status and closes it.
-func (e *Emulator) reject(conn net.Conn, port int, status uint8, err error) {
+func (e *Emulator) reject(conn net.Conn, status uint8) {
 	e.rejected.Add(1)
 	e.tel.rejected.Inc()
-	e.recordErr(&PortError{Port: port, Op: "handshake", Err: err})
 	if derr := conn.SetWriteDeadline(time.Now().Add(handshakeTimeout)); derr == nil {
 		conn.Write([]byte{status, 0})
 	}
 	conn.Close()
-}
-
-// recordErr appends a structured port error.
-func (e *Emulator) recordErr(pe *PortError) {
-	e.mu.Lock()
-	e.portErrs = append(e.portErrs, pe)
-	e.mu.Unlock()
 }
 
 // routeFrom reads frames arriving on input port p and forwards each to
@@ -536,7 +495,6 @@ func (e *Emulator) routeOne(port int, w uint8, frame, cellBytes []byte, dirty []
 		e.rmu[port].Lock()
 		flips := corruptPayload(cellBytes[cell.HeaderLen:], p, e.rngs[port])
 		e.rmu[port].Unlock()
-		e.bitsFlipped.Add(flips)
 		if flips > 0 {
 			e.tel.bitsFlipped.Add(flips)
 		}
@@ -615,7 +573,7 @@ func (e *Emulator) flushLocked(port int, op *outPort, cause *telemetry.Counter) 
 	}
 	n := op.frames
 	if _, err := op.conn.Write(*op.pending); err != nil {
-		e.retireConnLocked(port, op, &PortError{Port: port, Op: "write", Err: err})
+		e.retireConnLocked(port, op)
 		return
 	}
 	*op.pending = (*op.pending)[:0]
@@ -625,16 +583,15 @@ func (e *Emulator) flushLocked(port int, op *outPort, cause *telemetry.Counter) 
 }
 
 // retireConnLocked tears a port's connection down after a write error:
-// the error is recorded, the connection dropped, and the pending batch
-// parked (if the port is expected back) or counted dropped. The fabric
-// keeps running. Called with op.mu held.
-func (e *Emulator) retireConnLocked(port int, op *outPort, pe *PortError) {
+// the connection is dropped and the pending batch parked (if the port is
+// expected back) or counted dropped. The fabric keeps running. Called
+// with op.mu held.
+func (e *Emulator) retireConnLocked(port int, op *outPort) {
 	if op.conn != nil {
 		op.conn.Close()
 		op.conn = nil
 	}
 	e.mu.Lock()
-	e.portErrs = append(e.portErrs, pe)
 	op.mayReconnect = e.mayReconnectLocked(port)
 	e.mu.Unlock()
 	if op.mayReconnect {
@@ -756,9 +713,6 @@ func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 			op.conn = nil
 			e.parkPendingLocked(op)
 		}
-	}
-	if broken {
-		e.recordErr(&PortError{Port: port, Op: "read", Err: err})
 	}
 	if back {
 		if broken {

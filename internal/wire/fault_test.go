@@ -296,9 +296,11 @@ func TestStallDelaysButCompletes(t *testing.T) {
 }
 
 func TestEmulatorSurvivesMaliciousClients(t *testing.T) {
-	// While a real 2-node fabric runs, hostile clients connect with
-	// garbage, duplicate registrations, and immediate hangups. The fabric
-	// must complete untouched.
+	// Hostile clients connect with garbage, duplicate registrations and
+	// immediate hangups around a real 2-node fabric, which must complete
+	// untouched. Each refusal happens while the fabric cannot finish —
+	// before node 0 starts, or between node 0's registration and node
+	// 1's start — so the emulator is still accepting when it comes.
 	em, err := NewEmulator(2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -307,55 +309,73 @@ func TestEmulatorSurvivesMaliciousClients(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- em.Serve() }()
 
+	// hostile sends handshake (nil: hang up at once) and checks that the
+	// emulator refuses it with status want. Every read has a deadline,
+	// so a connection the emulator keeps open cannot hang the test.
+	hostile := func(handshake []byte, want uint8) {
+		t.Helper()
+		c, err := net.Dial("tcp", em.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if handshake == nil {
+			return
+		}
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Write(handshake); err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(c)
+		if len(reply) == 0 || reply[0] != want {
+			t.Fatalf("handshake % x: reply % x, want status %d", handshake, reply, want)
+		}
+	}
+	// awaitRejected waits until the emulator has refused n connections.
+	awaitRejected := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for em.Rejected() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("emulator refused %d connections, want %d", em.Rejected(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	badMagic := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	hostile(badMagic, HsBadMagic)
+	hostile(nil, 0) // connect and hang up mid-handshake
+	hostile(badMagic, HsBadMagic)
+	awaitRejected(3)
+
 	nodeErr := make(chan error, 2)
 	stats := make([]*NodeStats, 2)
-	for id := 0; id < 2; id++ {
-		go func(id int) {
+	startNode := func(id int) {
+		go func() {
 			st, err := RunNode(NodeConfig{
 				ID: id, Addr: em.Addr(), Nodes: 2, Epochs: 40, PayloadBytes: 16,
 				Timeout: 8 * time.Second, SuspectTimeout: time.Second,
 			})
 			stats[id] = st
 			nodeErr <- err
-		}(id)
+		}()
 	}
-
-	// Hostile traffic during the run. Every hostile read has a deadline,
-	// so a connection the emulator keeps open cannot hang the test.
-	hostile := func(handshake []byte) {
-		c, err := net.Dial("tcp", em.Addr())
-		if err != nil {
-			return // the fabric already completed and closed its listener
+	startNode(0)
+	// A routed frame means node 0 has registered; node 1 has not
+	// started, so the fabric cannot finish while port 0 is duplicated.
+	deadline := time.Now().Add(10 * time.Second)
+	for em.Routed() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never registered")
 		}
-		defer c.Close()
-		c.SetDeadline(time.Now().Add(5 * time.Second))
-		if handshake != nil {
-			c.Write(handshake)
-			io.ReadAll(c)
-		}
+		time.Sleep(time.Millisecond)
 	}
-	for i := 0; i < 5; i++ {
-		switch i % 3 {
-		case 0:
-			hostile([]byte{0xDE, 0xAD, 0xBE, 0xEF}) // bad magic
-		case 1:
-			// A duplicate of a live port. The first registration of a
-			// port wins, so it is sent only once port 0 is live: a
-			// frame past epoch 0 (two nodes, two slots each) means both
-			// nodes have registered.
-			deadline := time.Now().Add(10 * time.Second)
-			for em.Routed() <= 2*2 {
-				if time.Now().After(deadline) {
-					t.Fatalf("fabric routed only %d frames", em.Routed())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			h := EncodeHandshake(0, 0)
-			hostile(h[:])
-		case 2:
-			hostile(nil) // connect and hang up mid-handshake
-		}
-	}
+	dup := EncodeHandshake(0, 0)
+	hostile(dup[:], HsDuplicate)
+	hostile(dup[:], HsDuplicate)
+	awaitRejected(5)
+	startNode(1)
 
 	for i := 0; i < 2; i++ {
 		if err := <-nodeErr; err != nil {
@@ -367,12 +387,12 @@ func TestEmulatorSurvivesMaliciousClients(t *testing.T) {
 			t.Errorf("node %d: %+v, want 80 received", id, st)
 		}
 	}
-	if em.Rejected() == 0 {
-		t.Error("no hostile connection was rejected")
-	}
 	em.Close()
 	if err := <-serveErr; err != nil {
 		t.Errorf("Serve = %v, want nil", err)
+	}
+	if got := em.Rejected(); got != 5 {
+		t.Errorf("emulator refused %d connections, want the 5 hostile ones", got)
 	}
 }
 

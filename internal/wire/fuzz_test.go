@@ -2,50 +2,63 @@ package wire
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
 	"testing"
+
+	"sirius/internal/cell"
 )
 
-// FuzzReadFrame checks the framing decoder against arbitrary input: no
-// panics, bounded allocation, and accepted frames re-encode identically.
-func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteFrame(&seed, 3, []byte("payload"))
-	f.Add(seed.Bytes())
-	f.Add([]byte{0, 0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
-	// Truncated mid-header and mid-payload.
-	f.Add(seed.Bytes()[:3])
-	f.Add(seed.Bytes()[:frameHeader+2])
-	// Length field pointing just past the limit, and just inside it.
-	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 9}) // 64KiB+1: rejected
-	f.Add([]byte{0x00, 0x00, 0xFF, 0xFF, 9}) // large but legal, truncated
-	// Header-corrupted variant of a valid frame: flipped length bytes.
-	corrupted := append([]byte(nil), seed.Bytes()...)
+// frameSeeds returns the framing decoders' seed corpus: a valid frame,
+// the same frame truncated and header-corrupted, length fields at and
+// past the limit, a frame whose embedded cell header is garbage, and two
+// back-to-back frames of different sizes (the second read reuses the
+// buffer the first grew).
+func frameSeeds() [][]byte {
+	valid := appendFrame(nil, 3, &cell.Cell{Kind: cell.KindData, Payload: []byte("payload")})
+	corrupted := append([]byte(nil), valid...)
 	corrupted[0] ^= 0x80
 	corrupted[3] ^= 0x01
-	f.Add(corrupted)
-	// A cell-bearing frame whose embedded cell header is garbage.
-	var withCell bytes.Buffer
-	_ = WriteFrame(&withCell, 1, make([]byte, 24))
-	f.Add(withCell.Bytes())
+	double := appendFrame(nil, 9, &cell.Cell{Kind: cell.KindData, Payload: make([]byte, 100)})
+	double = appendFrame(double, 2, &cell.Cell{Kind: cell.KindSync, Payload: []byte("x")})
+	return [][]byte{
+		valid,
+		{0, 0, 0, 0, 0},
+		{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3},
+		valid[:3],
+		valid[:frameHeader+2],
+		{0x00, 0x01, 0x00, 0x01, 9}, // 64KiB+1: rejected
+		{0x00, 0x00, 0xFF, 0xFF, 9}, // large but legal, truncated
+		corrupted,
+		append([]byte{0, 0, 0, 24, 1}, make([]byte, 24)...),
+		double,
+	}
+}
+
+// FuzzReadFrame checks the framing decoder against arbitrary input: no
+// panics, bounded allocation, and an accepted frame is exactly the
+// header and cell bytes it consumed from the front of the input.
+func FuzzReadFrame(f *testing.F) {
+	for _, s := range frameSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, cellBytes, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteFrame(&out, w, cellBytes); err != nil {
-			t.Fatal(err)
-		}
-		w2, cell2, err := ReadFrame(&out)
-		if err != nil && err != io.EOF {
-			t.Fatalf("re-read: %v", err)
-		}
-		if w2 != w || !bytes.Equal(cell2, cellBytes) {
-			t.Fatal("frame round trip mismatch")
-		}
+		checkFrame(t, data, w, cellBytes)
 	})
+}
+
+// checkFrame fails unless data starts with the frame header for
+// cellBytes on wavelength w, followed by cellBytes.
+func checkFrame(t *testing.T, data []byte, w uint8, cellBytes []byte) {
+	t.Helper()
+	n := frameHeader + len(cellBytes)
+	if len(data) < n || binary.BigEndian.Uint32(data) != uint32(len(cellBytes)) ||
+		data[4] != w || !bytes.Equal(data[frameHeader:n], cellBytes) {
+		t.Fatal("frame round trip mismatch")
+	}
 }
 
 // FuzzReadFrameInto checks the zero-copy decoder byte-for-byte against
@@ -54,33 +67,14 @@ func FuzzReadFrame(f *testing.F) {
 // the caller's buffer and the full wire frame reconstructable from it.
 // A second read through the same buffer must not see stale bytes.
 func FuzzReadFrameInto(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteFrame(&seed, 3, []byte("payload"))
-	f.Add(seed.Bytes())
-	f.Add([]byte{0, 0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
-	f.Add(seed.Bytes()[:3])
-	f.Add(seed.Bytes()[:frameHeader+2])
-	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 9}) // 64KiB+1: rejected
-	f.Add([]byte{0x00, 0x00, 0xFF, 0xFF, 9}) // large but legal, truncated
-	corrupted := append([]byte(nil), seed.Bytes()...)
-	corrupted[0] ^= 0x80
-	corrupted[3] ^= 0x01
-	f.Add(corrupted)
-	var withCell bytes.Buffer
-	_ = WriteFrame(&withCell, 1, make([]byte, 24))
-	f.Add(withCell.Bytes())
-	// Two back-to-back frames of different sizes: the second read reuses
-	// the buffer the first grew.
-	var double bytes.Buffer
-	_ = WriteFrame(&double, 9, make([]byte, 100))
-	_ = WriteFrame(&double, 2, []byte("x"))
-	f.Add(double.Bytes())
+	for _, s := range frameSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		refR := bytes.NewReader(data)
 		zcR := bytes.NewReader(data)
 		buf := make([]byte, 0, 8) // deliberately tiny: force growth paths
-		for {
+		for off := 0; ; {
 			refW, refCell, refErr := ReadFrame(refR)
 			w, cellBytes, err := ReadFrameInto(zcR, &buf)
 			if (refErr == nil) != (err == nil) {
@@ -95,15 +89,15 @@ func FuzzReadFrameInto(f *testing.F) {
 			if w != refW || !bytes.Equal(cellBytes, refCell) {
 				t.Fatal("ReadFrameInto diverges from ReadFrame")
 			}
-			if &buf[0] != &buf[:frameHeader+len(cellBytes)][0] || !bytes.Equal(buf[frameHeader:frameHeader+len(cellBytes)], refCell) {
+			n := frameHeader + len(cellBytes)
+			if &buf[0] != &buf[:n][0] || !bytes.Equal(buf[frameHeader:n], refCell) {
 				t.Fatal("cell bytes do not alias the caller's buffer")
 			}
 			// The buffer must hold the complete re-emittable wire frame.
-			var rt bytes.Buffer
-			_ = WriteFrame(&rt, refW, refCell)
-			if !bytes.Equal(buf[:frameHeader+len(cellBytes)], rt.Bytes()) {
+			if !bytes.Equal(buf[:n], data[off:off+n]) {
 				t.Fatal("buffer does not hold the full wire frame")
 			}
+			off += n
 		}
 	})
 }

@@ -349,7 +349,7 @@ func TestEmulatorCloseAccountsParked(t *testing.T) {
 	const parked = 3
 	c := cell.Cell{Kind: cell.KindData, Src: 0, Dst: 1, Payload: []byte{1, 2, 3, 4}}
 	for i := 0; i < parked; i++ {
-		if err := WriteFrame(conn, 1, c.Encode(nil)); err != nil {
+		if _, err := conn.Write(appendFrame(nil, 1, &c)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -749,12 +748,8 @@ func (n *node) announceHello(bw *bufio.Writer, conn net.Conn) error {
 			Dst:   uint16(p),
 		}
 		w := uint8((p - me + n.cfg.Nodes) % n.cfg.Nodes)
-		eb := append(encodeBuf[:0], 0, 0, 0, 0, 0)
-		eb = c.Encode(eb)
-		binary.BigEndian.PutUint32(eb[:4], uint32(len(eb)-frameHeader))
-		eb[4] = w
-		encodeBuf = eb
-		if _, err := bw.Write(eb); err != nil {
+		encodeBuf = appendFrame(encodeBuf[:0], w, &c)
+		if _, err := bw.Write(encodeBuf); err != nil {
 			return fmt.Errorf("wire: node %d: hello: %w", me, err)
 		}
 	}
@@ -886,12 +881,8 @@ func (n *node) sendEpoch(g int, bw *bufio.Writer, conn net.Conn,
 		c.Payload = payload
 		// Assemble the whole wire frame — header and encoded cell — in
 		// the reusable buffer and hand it to the writer in one call.
-		eb := append((*encodeBuf)[:0], 0, 0, 0, 0, 0)
-		eb = c.Encode(eb)
-		binary.BigEndian.PutUint32(eb[:4], uint32(len(eb)-frameHeader))
-		eb[4] = w
-		*encodeBuf = eb
-		if _, err := bw.Write(eb); err != nil {
+		*encodeBuf = appendFrame((*encodeBuf)[:0], w, &c)
+		if _, err := bw.Write(*encodeBuf); err != nil {
 			n.addSent(sent)
 			return err
 		}
@@ -909,12 +900,8 @@ func (n *node) sendEpoch(g int, bw *bufio.Writer, conn net.Conn,
 		c.SetJoin(wm.node, wm.sw)
 		c.Payload = wm.members
 		w := uint8((wm.node - n.cfg.ID + n.cfg.Nodes) % n.cfg.Nodes)
-		eb := append((*encodeBuf)[:0], 0, 0, 0, 0, 0)
-		eb = c.Encode(eb)
-		binary.BigEndian.PutUint32(eb[:4], uint32(len(eb)-frameHeader))
-		eb[4] = w
-		*encodeBuf = eb
-		if _, err := bw.Write(eb); err != nil {
+		*encodeBuf = appendFrame((*encodeBuf)[:0], w, &c)
+		if _, err := bw.Write(*encodeBuf); err != nil {
 			return err
 		}
 	}

@@ -45,16 +45,13 @@ const maxFrame = 64 << 10
 // and wavelengths live in [0, 256). Documented in docs/PROTOCOL.md.
 const maxPorts = 256
 
-// WriteFrame writes one wavelength-tagged frame.
-func WriteFrame(w io.Writer, wavelength uint8, cellBytes []byte) error {
-	var h [frameHeader]byte
-	binary.BigEndian.PutUint32(h[:4], uint32(len(cellBytes)))
-	h[4] = wavelength
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(cellBytes)
-	return err
+// appendFrame appends one frame carrying c on wavelength w to dst.
+func appendFrame(dst []byte, w uint8, c *cell.Cell) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, w)
+	dst = c.Encode(dst)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeader))
+	return dst
 }
 
 // ReadFrameInto reads one frame into *buf, growing it if needed, and

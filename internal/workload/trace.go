@@ -10,32 +10,10 @@ import (
 	"sirius/internal/simtime"
 )
 
-// WriteCSV writes flows as a CSV trace with the header
-// "arrival_ns,src,dst,bytes" — a stable interchange format so users can
-// replay their own traces through any of the simulators.
-func WriteCSV(w io.Writer, flows []Flow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"arrival_ns", "src", "dst", "bytes"}); err != nil {
-		return err
-	}
-	for _, f := range flows {
-		rec := []string{
-			strconv.FormatFloat(simtime.Duration(f.Arrival).Nanoseconds(), 'f', 3, 64),
-			strconv.Itoa(f.Src),
-			strconv.Itoa(f.Dst),
-			strconv.Itoa(f.Bytes),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a flow trace written by WriteCSV (or hand-made in the
-// same format). Flows are sorted by arrival and re-IDed by position, as
-// the simulators require.
+// ReadCSV parses a CSV flow trace with the optional header
+// "arrival_ns,src,dst,bytes", so users can replay their own traces
+// through any of the simulators. Flows are sorted by arrival and re-IDed
+// by position, as the simulators require.
 func ReadCSV(r io.Reader) ([]Flow, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 4

