@@ -109,7 +109,7 @@ func BenchmarkFig8dBER(b *testing.B) {
 
 func BenchmarkTimesync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if tab := exp.Timesync(5_000); len(tab.Rows) != 3 {
+		if tab := exp.Timesync(5_000); len(tab.Rows) != 4 {
 			b.Fatal("bad table")
 		}
 	}

@@ -17,20 +17,32 @@ package congestion
 
 import (
 	"fmt"
+	"math"
 
 	"sirius/internal/rng"
 )
 
-// Grant authorizes Src to forward one cell destined Dst via intermediate
-// Via in the coming epoch.
+// Grant authorizes Src to forward one cell destined Dst in the coming
+// epoch, via the intermediate whose grant list holds it.
 type Grant struct {
-	Src, Via, Dst int
+	Src, Dst int32
+}
+
+// pairOcc is one (intermediate, destination) pair's occupancy. Both
+// counters sit in one record so the grant-issue bound check and
+// OnCellArrived touch one cache line.
+type pairOcc struct {
+	queued    int16 // cells held at the intermediate for dst
+	grantsOut int16 // outstanding grants (granted, not yet arrived)
 }
 
 // Controller runs the protocol for every node of the fabric. It is the
 // control plane only: the data plane (cell movement) belongs to the
 // caller, which reports arrivals and departures so the controller can
 // track queue occupancy.
+//
+// Apart from the pointer-free n² occupancy table (4 B per pair), its
+// state is proportional to one epoch's requests and grants.
 type Controller struct {
 	n       int
 	q       int
@@ -38,23 +50,19 @@ type Controller struct {
 
 	r *rng.RNG
 
-	// queued and grantsOut are flat n*n arrays indexed via*n+dst: one
-	// indirection and one cache line per (via, dst) probe instead of the
-	// two a [][]int16 layout costs on the grant-issue hot path.
-	queued    []int16 // [via*n+dst] cells held at intermediate for dst
-	grantsOut []int16 // [via*n+dst] outstanding (granted, not yet arrived)
+	occ []pairOcc // [via*n+dst]
 
 	// Requests in flight, arriving at intermediates during this epoch and
-	// processed at the next Tick: per intermediate, per destination, the
-	// list of requesting sources. Destination insertion order is kept so
-	// processing is deterministic (map iteration would not be).
-	inflight []reqSet
+	// processed at the next Tick: per intermediate, a log of dst<<32|src
+	// entries in issue order.
+	reqs [][]uint64
 
-	// Grants in flight, delivered to sources at the next Tick. Two
-	// buffers alternate: the one handed out by the previous Tick is
-	// truncated (capacity kept) and becomes the accumulation target, so
-	// steady-state Ticks allocate nothing while honoring the "returned
-	// slices are valid until the next Tick" contract.
+	// Grants in flight, delivered to sources at the next Tick, per
+	// intermediate. Two buffers alternate: the one handed out by the
+	// previous Tick is truncated (capacity kept) and becomes the
+	// accumulation target, so steady-state Ticks allocate nothing while
+	// honoring the "returned slices are valid until the next Tick"
+	// contract.
 	granted    [][]Grant
 	grantedOld [][]Grant
 
@@ -70,28 +78,13 @@ type Controller struct {
 	// of the rejection-sampling loop, the simulator's hottest path.
 	used  []uint64
 	stamp uint64
-}
 
-// reqSet accumulates the requests one intermediate received this epoch,
-// indexed by destination, preserving insertion order for determinism.
-// Slices are reused across epochs (reset keeps their capacity).
-type reqSet struct {
-	dsts []int32
-	srcs [][]int32 // per destination; sized to the node count
-}
-
-func (r *reqSet) add(dst, src int) {
-	if len(r.srcs[dst]) == 0 {
-		r.dsts = append(r.dsts, int32(dst))
-	}
-	r.srcs[dst] = append(r.srcs[dst], int32(src))
-}
-
-func (r *reqSet) reset() {
-	for _, d := range r.dsts {
-		r.srcs[d] = r.srcs[d][:0]
-	}
-	r.dsts = r.dsts[:0]
+	// processRequests' grouping scratch: per-destination counts (zero
+	// between intermediates), destinations in first-seen order, and the
+	// grouped sources.
+	cnt   []int32
+	order []int32
+	srcs  []int32
 }
 
 // New returns a controller for n nodes with queue bound q. perDest is the
@@ -106,25 +99,25 @@ func New(n, q, perDest int, seed uint64) (*Controller, error) {
 		// new cell for D before it had a chance to transmit the previous.
 		return nil, fmt.Errorf("congestion: queue bound must be >= 2, have %d", q)
 	}
+	if q > math.MaxInt16 {
+		// The pair counters are int16: a larger bound would let them wrap.
+		return nil, fmt.Errorf("congestion: queue bound must be <= %d, have %d", math.MaxInt16, q)
+	}
 	if perDest < 1 {
 		return nil, fmt.Errorf("congestion: perDest must be >= 1")
 	}
-	c := &Controller{
+	return &Controller{
 		n:          n,
 		q:          q,
 		perDest:    perDest,
 		r:          rng.New(seed),
-		queued:     make([]int16, n*n),
-		grantsOut:  make([]int16, n*n),
-		inflight:   make([]reqSet, n),
+		occ:        make([]pairOcc, n*n),
+		reqs:       make([][]uint64, n),
 		granted:    make([][]Grant, n),
 		grantedOld: make([][]Grant, n),
 		used:       make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		c.inflight[i].srcs = make([][]int32, n)
-	}
-	return c, nil
+		cnt:        make([]int32, n),
+	}, nil
 }
 
 // DisallowDirect is an ablation switch: the destination itself is no
@@ -165,8 +158,11 @@ func (c *Controller) ExcludeVias(failed []bool) error {
 //
 // demand(i) must return the destinations of the cells in node i's LOCAL
 // queue in FIFO order; it may truncate to n-1 entries (no more requests
-// than intermediates can be issued). The returned slices are valid until
-// the next Tick.
+// than intermediates can be issued). The result is indexed by
+// intermediate; each source finds its grants in ascending intermediate
+// order, and within one intermediate in the order the destinations were
+// first requested there. The returned slices are valid until the next
+// Tick.
 func (c *Controller) Tick(demand func(node int) []int) [][]Grant {
 	if c.instant {
 		// Oracle ablation: requests issue, process and deliver within
@@ -186,7 +182,7 @@ func (c *Controller) Tick(demand func(node int) []int) [][]Grant {
 
 // swapGranted returns the accumulated grant buffer and installs the other
 // buffer — truncated in place, capacity preserved — as the new
-// accumulation target. The returned per-source slices stay untouched
+// accumulation target. The returned per-intermediate slices stay untouched
 // until the Tick after next, satisfying the documented lifetime.
 func (c *Controller) swapGranted() [][]Grant {
 	delivered := c.granted
@@ -201,34 +197,68 @@ func (c *Controller) swapGranted() [][]Grant {
 
 // processRequests runs the intermediates' side: one grant per destination
 // per pair-connection (perDest), space permitting, against the requests
-// accumulated in inflight.
+// logged in reqs. Each intermediate's log is grouped by destination with
+// one counting pass: destinations keep the order they were first
+// requested in, and sources keep issue order within a destination, so
+// every random pick sees the same candidate list, in the same order, as a
+// per-destination list built request by request would.
 func (c *Controller) processRequests() {
 	r := c.r
-	for via := 0; via < c.n; via++ {
-		reqs := &c.inflight[via]
-		if len(reqs.dsts) == 0 {
+	cnt := c.cnt
+	for via, reqs := range c.reqs {
+		if len(reqs) == 0 {
 			continue
 		}
+		order := c.order[:0]
+		for _, e := range reqs {
+			d := int32(e >> 32)
+			if cnt[d] == 0 {
+				order = append(order, d)
+			}
+			cnt[d]++
+		}
+		// Counts become start offsets, then each source is placed at its
+		// destination's cursor; afterwards cnt[d] is the end of d's run.
+		off := int32(0)
+		for _, d := range order {
+			off, cnt[d] = off+cnt[d], off
+		}
+		if cap(c.srcs) < len(reqs) {
+			c.srcs = make([]int32, len(reqs))
+		}
+		srcs := c.srcs[:len(reqs)]
+		for _, e := range reqs {
+			d := int32(e >> 32)
+			srcs[cnt[d]] = int32(uint32(e))
+			cnt[d]++
+		}
+		gs := c.granted[via]
 		base := via * c.n
-		for _, dst32 := range reqs.dsts {
-			dst := int(dst32)
-			srcs := reqs.srcs[dst]
+		start := int32(0)
+		for _, dst := range order {
+			end := cnt[dst]
+			cnt[dst] = 0
+			cands := srcs[start:end]
+			start = end
+			o := &c.occ[base+int(dst)]
 			for g := 0; g < c.perDest; g++ {
-				if len(srcs) == 0 {
+				if len(cands) == 0 {
 					break
 				}
-				if int(c.queued[base+dst])+int(c.grantsOut[base+dst]) >= c.q {
+				if int(o.queued)+int(o.grantsOut) >= c.q {
 					break
 				}
-				pick := r.Intn(len(srcs))
-				src := int(srcs[pick])
-				srcs[pick] = srcs[len(srcs)-1]
-				srcs = srcs[:len(srcs)-1]
-				c.grantsOut[base+dst]++
-				c.granted[src] = append(c.granted[src], Grant{Src: src, Via: via, Dst: dst})
+				pick := r.Intn(len(cands))
+				src := cands[pick]
+				cands[pick] = cands[len(cands)-1]
+				cands = cands[:len(cands)-1]
+				o.grantsOut++
+				gs = append(gs, Grant{Src: src, Dst: dst})
 			}
 		}
-		reqs.reset()
+		c.granted[via] = gs
+		c.reqs[via] = reqs[:0]
+		c.order = order[:0]
 	}
 }
 
@@ -273,7 +303,7 @@ func (c *Controller) issueRequests(demand func(node int) []int) {
 				continue // no eligible intermediate left for this cell
 			}
 			used++
-			c.inflight[via].add(dst, src)
+			c.reqs[via] = append(c.reqs[via], uint64(dst)<<32|uint64(src))
 		}
 	}
 }
@@ -336,26 +366,28 @@ func (c *Controller) pickAvailable(src, dst int) int {
 // queued. It panics if the queue bound would be violated — the protocol's
 // central invariant.
 func (c *Controller) OnCellArrived(via, dst int) {
-	if c.grantsOut[via*c.n+dst] <= 0 {
+	o := &c.occ[via*c.n+dst]
+	if o.grantsOut <= 0 {
 		panic(fmt.Sprintf("congestion: cell arrived at %d for %d without outstanding grant", via, dst))
 	}
-	c.grantsOut[via*c.n+dst]--
+	o.grantsOut--
 	if via == dst {
 		return
 	}
-	c.queued[via*c.n+dst]++
-	if int(c.queued[via*c.n+dst]) > c.q {
+	o.queued++
+	if int(o.queued) > c.q {
 		panic(fmt.Sprintf("congestion: queue bound violated at %d for %d: %d > %d",
-			via, dst, c.queued[via*c.n+dst], c.q))
+			via, dst, o.queued, c.q))
 	}
 }
 
 // OnCellForwarded records that via transmitted one queued cell to dst.
 func (c *Controller) OnCellForwarded(via, dst int) {
-	if c.queued[via*c.n+dst] <= 0 {
+	o := &c.occ[via*c.n+dst]
+	if o.queued <= 0 {
 		panic(fmt.Sprintf("congestion: forward from empty queue at %d for %d", via, dst))
 	}
-	c.queued[via*c.n+dst]--
+	o.queued--
 }
 
 // OnGrantUnused releases a grant the source could not use (the cell it was
@@ -363,8 +395,9 @@ func (c *Controller) OnCellForwarded(via, dst int) {
 // piggybacked like everything else; the model applies it immediately,
 // which only makes the intermediate marginally more conservative.
 func (c *Controller) OnGrantUnused(via, dst int) {
-	if c.grantsOut[via*c.n+dst] <= 0 {
+	o := &c.occ[via*c.n+dst]
+	if o.grantsOut <= 0 {
 		panic(fmt.Sprintf("congestion: releasing non-existent grant at %d for %d", via, dst))
 	}
-	c.grantsOut[via*c.n+dst]--
+	o.grantsOut--
 }

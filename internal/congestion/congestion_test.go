@@ -1,6 +1,7 @@
 package congestion
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -42,26 +43,27 @@ func (h *harness) epoch() {
 		return d
 	})
 	// Sources consume grants.
-	for src, gs := range grants {
+	for via, gs := range grants {
 		for _, g := range gs {
-			// Find first cell for g.Dst in LOCAL.
+			src, dst := int(g.Src), int(g.Dst)
+			// Find first cell for dst in LOCAL.
 			found := -1
 			for i, d := range h.local[src] {
-				if d == g.Dst {
+				if d == dst {
 					found = i
 					break
 				}
 			}
 			if found < 0 {
-				h.c.OnGrantUnused(g.Via, g.Dst)
+				h.c.OnGrantUnused(via, dst)
 				continue
 			}
 			h.local[src] = append(h.local[src][:found], h.local[src][found+1:]...)
-			h.c.OnCellArrived(g.Via, g.Dst)
-			if g.Via == g.Dst {
+			h.c.OnCellArrived(via, dst)
+			if via == dst {
 				h.done++ // direct delivery
 			} else {
-				h.fwdq[[2]int{g.Via, g.Dst}]++
+				h.fwdq[[2]int{via, dst}]++
 			}
 		}
 	}
@@ -98,8 +100,8 @@ func TestGrantLatencyTwoEpochs(t *testing.T) {
 // maxQueued returns the largest per-(via, dst) queue, in cells.
 func maxQueued(c *Controller) int {
 	m := 0
-	for _, q := range c.queued {
-		m = max(m, int(q))
+	for _, o := range c.occ {
+		m = max(m, int(o.queued))
 	}
 	return m
 }
@@ -171,12 +173,12 @@ func TestGrantPerDestinationPerEpoch(t *testing.T) {
 	}
 	grants = c.Tick(func(int) []int { return nil })
 	perVia := map[int]int{}
-	for _, gs := range grants {
+	for via, gs := range grants {
 		for _, g := range gs {
 			if g.Dst != 3 {
 				t.Errorf("grant for unexpected destination %d", g.Dst)
 			}
-			perVia[g.Via]++
+			perVia[via]++
 		}
 	}
 	for via, n := range perVia {
@@ -204,9 +206,9 @@ func TestQueueStopsGrants(t *testing.T) {
 	}
 	granted := 0
 	for e := 0; e < 40; e++ {
-		for _, gs := range c.Tick(demand) {
+		for via, gs := range c.Tick(demand) {
 			for _, g := range gs {
-				c.OnCellArrived(g.Via, g.Dst)
+				c.OnCellArrived(via, int(g.Dst))
 				granted++
 			}
 		}
@@ -216,10 +218,10 @@ func TestQueueStopsGrants(t *testing.T) {
 	// at most Q=2 for dst 2; direct delivery (via==dst) doesn't queue but
 	// also stops granting once outstanding+queued >= Q... via==2 consumes
 	// immediately so it keeps granting. Check relays stopped at Q.
-	if q := c.queued[1*c.n+2]; q > 2 {
+	if q := c.occ[1*c.n+2].queued; q > 2 {
 		t.Errorf("relay 1 queued %d > 2", q)
 	}
-	if q := c.queued[3*c.n+2]; q > 2 {
+	if q := c.occ[3*c.n+2].queued; q > 2 {
 		t.Errorf("relay 3 queued %d > 2", q)
 	}
 }
@@ -259,6 +261,12 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := New(4, 4, 0, 1); err == nil {
 		t.Error("perDest=0 accepted")
 	}
+	if _, err := New(4, math.MaxInt16+1, 1, 1); err == nil {
+		t.Error("Q=32768 accepted (the int16 pair counters would wrap)")
+	}
+	if _, err := New(4, math.MaxInt16, 1, 1); err != nil {
+		t.Errorf("Q=32767 rejected: %v", err)
+	}
 }
 
 func TestAccountingPanics(t *testing.T) {
@@ -290,13 +298,14 @@ func TestNoDirectNeverPicksDestination(t *testing.T) {
 		return nil
 	}
 	for e := 0; e < 50; e++ {
-		for _, gs := range c.Tick(demand) {
+		for via, gs := range c.Tick(demand) {
 			for _, g := range gs {
-				if g.Via == g.Dst {
+				dst := int(g.Dst)
+				if via == dst {
 					t.Fatal("direct grant issued under DisallowDirect")
 				}
-				c.OnCellArrived(g.Via, g.Dst)
-				c.OnCellForwarded(g.Via, g.Dst)
+				c.OnCellArrived(via, dst)
+				c.OnCellForwarded(via, dst)
 			}
 		}
 	}
@@ -341,14 +350,15 @@ func TestExcludeViasNeverPicked(t *testing.T) {
 		return nil
 	}
 	for e := 0; e < 50; e++ {
-		for _, gs := range c.Tick(demand) {
+		for via, gs := range c.Tick(demand) {
 			for _, g := range gs {
-				if g.Via == 3 {
+				dst := int(g.Dst)
+				if via == 3 {
 					t.Fatal("failed node used as intermediate")
 				}
-				c.OnCellArrived(g.Via, g.Dst)
-				if g.Via != g.Dst {
-					c.OnCellForwarded(g.Via, g.Dst)
+				c.OnCellArrived(via, dst)
+				if via != dst {
+					c.OnCellForwarded(via, dst)
 				}
 			}
 		}

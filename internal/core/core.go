@@ -507,7 +507,7 @@ func newSim(ctx context.Context, cfg Config, flows []workload.Flow) (*sim, error
 		var err error
 		s.cc, err = congestion.New(n, cfg.Q*s.k, s.k, cfg.Seed^0xC0FFEE)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: queue bound %d at %d connections per epoch: %w", cfg.Q, s.k, err)
 		}
 		if failed != nil {
 			if err := s.cc.ExcludeVias(failed); err != nil {
@@ -828,17 +828,17 @@ func (s *sim) replan() {
 func (s *sim) epochBoundary() {
 	switch s.cfg.Mode {
 	case ModeRequestGrant:
-		grants := s.cc.Tick(s.demand)
-		for _, gs := range grants {
+		for via, gs := range s.cc.Tick(s.demand) {
 			for _, g := range gs {
+				src, dst := int(g.Src), int(g.Dst)
 				s.grantsIssued++
-				if s.byDst[g.Src*s.n+g.Dst].empty() {
-					s.cc.OnGrantUnused(g.Via, g.Dst)
+				if s.byDst[src*s.n+dst].empty() {
+					s.cc.OnGrantUnused(via, dst)
 					s.grantsUnused++
 					continue
 				}
-				s.voqPush(g.Src*s.n+g.Via, s.consume(g.Src, g.Dst))
-				s.workInc(g.Src)
+				s.voqPush(src*s.n+via, s.consume(src, dst))
+				s.workInc(src)
 			}
 		}
 	case ModeDirect:

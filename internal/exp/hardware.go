@@ -171,7 +171,9 @@ func Fig8d() *Table {
 }
 
 // Timesync reproduces the §6 synchronization experiment: maximum phase
-// deviation across a long run with rotating leaders.
+// deviation across a long run with rotating leaders. The last row, nodes
+// "8→7", is §4.4's failover: 8 nodes whose current leader fails at
+// epochs/2; from then on the spread covers the 7 survivors.
 func Timesync(epochs int) *Table {
 	t := &Table{
 		Title:  "§6: time-synchronization accuracy",
@@ -186,6 +188,15 @@ func Timesync(epochs int) *Table {
 		s := nw.Run(epochs, epochs/20)
 		t.Add(n, epochs, fmt.Sprintf("±%.1f", s.MaxSpreadPS/2), fmt.Sprintf("±%.1f", s.EndSpreadPS/2))
 	}
+	nw, err := timesync.NewNetwork(timesync.DefaultConfig(8))
+	if err != nil {
+		panic(err)
+	}
+	before := nw.Run(epochs/2, epochs/20)
+	nw.Fail(nw.Leader())
+	after := nw.Run(epochs-epochs/2, 0)
+	t.Add("8→7", epochs, fmt.Sprintf("±%.1f", max(before.MaxSpreadPS, after.MaxSpreadPS)/2),
+		fmt.Sprintf("±%.1f", after.EndSpreadPS/2))
 	return t
 }
 

@@ -100,6 +100,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
+// Fail takes node out of the protocol: it stops drifting, disciplining
+// and leading, and Spread no longer counts it. When it was the leader, the
+// next live node in the rotation takes over (§4.4).
+func (n *Network) Fail(node int) { n.failed[node] = true }
+
 // Leader returns the current leader, skipping failed nodes (the automatic
 // replacement of §4.4).
 func (n *Network) Leader() int {

@@ -61,7 +61,7 @@ func TestLeaderFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Run(5_000, 0)
-	nw.failed[nw.Leader()] = true
+	nw.Fail(nw.Leader())
 	s := nw.Run(50_000, 1_000)
 	if s.MaxSpreadPS > 20 {
 		t.Errorf("post-failover spread = %.2f ps, want <= 20", s.MaxSpreadPS)
@@ -73,8 +73,8 @@ func TestLeaderFailover(t *testing.T) {
 
 func TestAllFailed(t *testing.T) {
 	nw, _ := NewNetwork(DefaultConfig(2))
-	nw.failed[0] = true
-	nw.failed[1] = true
+	nw.Fail(0)
+	nw.Fail(1)
 	if nw.Leader() != -1 {
 		t.Error("leader elected among failed nodes")
 	}
@@ -95,7 +95,7 @@ func TestByzantineClockFiltered(t *testing.T) {
 	// Spread including the byzantine node is large, but the sane nodes
 	// must stay mutually synchronized: check them pairwise by failing it
 	// (excluding it from the metric).
-	nw.failed[0] = true
+	nw.Fail(0)
 	s := nw.Run(20_000, 1_000)
 	if s.MaxSpreadPS > 50 {
 		t.Errorf("sane nodes spread = %.2f ps with byzantine peer, want bounded", s.MaxSpreadPS)
@@ -121,6 +121,6 @@ func TestSpreadExcludesFailed(t *testing.T) {
 	if math.IsInf(before, 0) {
 		t.Fatal("spread inf with live nodes")
 	}
-	nw.failed[2] = true
+	nw.Fail(2)
 	_ = nw.Spread() // must not include failed node or panic
 }

@@ -1,6 +1,7 @@
 package sirius
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -143,6 +144,12 @@ func TestConfigErrors(t *testing.T) {
 	c.UplinkMultiplier = 0.5
 	if _, err := c.Run(nil); err == nil {
 		t.Error("sub-1 multiplier accepted")
+	}
+	// The request/grant controller counts each pair's cells in 16 bits.
+	c = DefaultConfig(16)
+	c.QueueBound = math.MaxInt16 + 1
+	if _, err := c.Run(Workload(c, 0.4, 50, 1)); err == nil {
+		t.Error("queue bound beyond 16-bit pair counters accepted")
 	}
 }
 
