@@ -17,10 +17,10 @@
 // sensitivity); the PRBS checkers must detect exactly that rate.
 //
 // Output batching: the emulator coalesces routed frames into one write
-// per output port (-batch frames, -batch-bytes budget, -flush-interval
-// idle deadline; zeros keep the defaults, -batch 1 restores per-frame
-// writes). Coalescing only changes syscall boundaries — every counter,
-// corruption decision and failure timeline is identical either way.
+// per output port (-batch frames per write; 0 keeps the default, -batch 1
+// restores per-frame writes). Coalescing only changes syscall boundaries
+// — every counter, corruption decision and failure timeline is identical
+// either way.
 //
 // Observability: -telemetry ADDR serves live /metrics (Prometheus text),
 // /healthz (degraded while a failure is suspected, healthy once the
@@ -73,9 +73,7 @@ func main() {
 		listen  = flag.String("listen", ":9000", "listen address for -role awgr")
 		connect = flag.String("connect", "127.0.0.1:9000", "emulator address for -role node")
 
-		batch         = flag.Int("batch", 0, "emulator output batching: frames to coalesce per write (0 = default policy, 1 = per-frame writes)")
-		batchBytes    = flag.Int("batch-bytes", 0, "emulator output batching: byte budget per coalesced write (0 = default)")
-		flushInterval = flag.Duration("flush-interval", 0, "emulator output batching: idle flush interval (0 = default)")
+		batch = flag.Int("batch", 0, "emulator output batching: frames to coalesce per write (0 = default policy, 1 = per-frame writes)")
 
 		planPath   = flag.String("faultplan", "", "JSON fault plan to inject (internal/fault format)")
 		killNode   = flag.Int("kill-node", -1, "shorthand: fail-stop this node...")
@@ -149,9 +147,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "siriusnet: %v\n", err)
 			os.Exit(1)
 		}
-		if *batch != 0 || *batchBytes != 0 || *flushInterval != 0 {
-			em.SetBatching(*batch, *batchBytes, *flushInterval)
-		}
+		em.SetBatching(*batch)
 		em.Instrument(reg, health)
 		fmt.Printf("AWGR emulator: %d ports on %s (flip %g)\n", *nodes, em.Addr(), *flip)
 		if err := em.Serve(); err != nil {
@@ -195,18 +191,16 @@ func main() {
 	}
 
 	fs, err := wire.RunPrototypeCfg(wire.PrototypeConfig{
-		Nodes:         *nodes,
-		Epochs:        *epochs,
-		PayloadBytes:  *payload,
-		FlipProb:      *flip,
-		Seed:          *seed,
-		Plan:          plan,
-		BatchFrames:   *batch,
-		BatchBytes:    *batchBytes,
-		FlushInterval: *flushInterval,
-		Telemetry:     reg,
-		Health:        health,
-		Tracer:        tracer,
+		Nodes:        *nodes,
+		Epochs:       *epochs,
+		PayloadBytes: *payload,
+		FlipProb:     *flip,
+		Seed:         *seed,
+		Plan:         plan,
+		BatchFrames:  *batch,
+		Telemetry:    reg,
+		Health:       health,
+		Tracer:       tracer,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "siriusnet: %v\n", err)

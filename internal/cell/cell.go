@@ -29,42 +29,40 @@ const (
 	KindSync         // time-synchronization beacon
 )
 
-// Flags.
+// Flags. Each keeps the bit value it has always had on the wire; bits 0
+// and 2 are unassigned.
 const (
-	// FlagLast marks the final cell of a flow.
-	FlagLast uint8 = 1 << iota
 	// FlagSuspect marks a cell carrying a piggybacked failure suspicion
-	// (§4.5): Aux names the suspected node and Flow carries the proposed
-	// schedule-switch epoch. The flood rides ordinary data cells — the
-	// cyclic schedule connects every pair once per epoch, so one epoch of
-	// data traffic disseminates a suspicion fabric-wide.
-	FlagSuspect
-	// FlagFin marks a control cell announcing that the sender has
-	// transmitted its final scheduled cell toward the receiver: the
-	// receiver can account the stream closed without a timeout.
-	FlagFin
+	// (§4.5). The flood rides ordinary data cells — the cyclic schedule
+	// connects every pair once per epoch, so one epoch of data traffic
+	// disseminates a suspicion fabric-wide.
+	FlagSuspect uint8 = 1 << 1
 	// FlagJoin marks a lifecycle join announcement. On a data cell it is
-	// the piggybacked join flood (Aux names the joining node, Flow the
-	// agreed switch epoch — the same min-S convergence as FlagSuspect).
-	// On a control cell it is a *welcome*: a member tells the joiner the
-	// switch epoch (Flow) and the fabric membership as of that epoch
-	// (payload bitmap, one bit per port).
-	FlagJoin
+	// the piggybacked join flood. On a control cell it is a *welcome*: a
+	// member tells the joiner the switch epoch and the fabric membership
+	// as of that epoch (payload bitmap, one bit per port).
+	FlagJoin uint8 = 1 << 3
 	// FlagDrain marks a data cell carrying a piggybacked planned-drain
-	// announcement: Aux names the draining node and Flow the switch epoch
-	// from which the fabric stops scheduling toward it.
-	FlagDrain
+	// announcement: the fabric stops scheduling toward the node from the
+	// switch epoch on.
+	FlagDrain uint8 = 1 << 4
 	// FlagHello marks a control cell from a not-yet-admitted node
 	// announcing that it is attached and ready to join: Src names the
 	// joiner. Members hold the expansion switch until every scripted
 	// joiner has said hello.
-	FlagHello
+	FlagHello uint8 = 1 << 5
 )
+
+// announceFlags are the membership announcements. They share the header's
+// side channels — Aux names the node, Flow carries the agreed switch epoch
+// — so a cell carries at most one; the flooding layer attaches
+// announcements to distinct cells round-robin.
+const announceFlags = FlagSuspect | FlagJoin | FlagDrain
 
 // Cell is one fixed-size unit of transmission. Src and Dst are node ids;
 // Flow identifies the flow and Seq the cell's position within it. Aux is
-// a one-byte side channel rides in the header's former pad byte; it
-// carries the suspected node id when FlagSuspect is set.
+// a one-byte side channel in the header's former pad byte; it names the
+// node of a membership announcement.
 type Cell struct {
 	Kind    Kind
 	Flags   uint8
@@ -76,55 +74,18 @@ type Cell struct {
 	Payload []byte
 }
 
-// Suspicion returns the piggybacked failure suspicion, if any: the
-// suspected node id and the proposed fabric-wide schedule-switch epoch.
-func (c *Cell) Suspicion() (peer int, switchEpoch int, ok bool) {
-	if c.Flags&FlagSuspect == 0 {
-		return 0, 0, false
-	}
-	return int(c.Aux), int(c.Flow), true
+// Announcement returns the membership announcement piggybacked on the
+// cell: which of FlagSuspect, FlagJoin and FlagDrain are set (0 when it
+// carries none), the node it names and the agreed switch epoch.
+func (c *Cell) Announcement() (flags uint8, node, switchEpoch int) {
+	return c.Flags & announceFlags, int(c.Aux), int(c.Flow)
 }
 
-// SetSuspicion piggybacks a failure suspicion on the cell.
-func (c *Cell) SetSuspicion(peer int, switchEpoch int) {
-	c.Flags |= FlagSuspect
-	c.Aux = uint8(peer)
-	c.Flow = uint32(switchEpoch)
-}
-
-// The lifecycle announcements below reuse the Aux/Flow side channels, so
-// a cell carries at most one of suspicion/join/drain — the flooding
-// layer attaches announcements to distinct cells round-robin.
-
-// Join returns the piggybacked join announcement, if any: the joining
-// node id and the agreed switch epoch.
-func (c *Cell) Join() (node int, switchEpoch int, ok bool) {
-	if c.Flags&FlagJoin == 0 {
-		return 0, 0, false
-	}
-	return int(c.Aux), int(c.Flow), true
-}
-
-// SetJoin piggybacks a join announcement on the cell.
-func (c *Cell) SetJoin(node int, switchEpoch int) {
-	c.Flags |= FlagJoin
-	c.Aux = uint8(node)
-	c.Flow = uint32(switchEpoch)
-}
-
-// Drain returns the piggybacked planned-drain announcement, if any: the
-// draining node id and the switch epoch from which the fabric stops
-// scheduling toward it.
-func (c *Cell) Drain() (node int, switchEpoch int, ok bool) {
-	if c.Flags&FlagDrain == 0 {
-		return 0, 0, false
-	}
-	return int(c.Aux), int(c.Flow), true
-}
-
-// SetDrain piggybacks a planned-drain announcement on the cell.
-func (c *Cell) SetDrain(node int, switchEpoch int) {
-	c.Flags |= FlagDrain
+// SetAnnouncement piggybacks one membership announcement — flag is
+// FlagSuspect, FlagJoin or FlagDrain — naming node, with the agreed
+// switch epoch.
+func (c *Cell) SetAnnouncement(flag uint8, node, switchEpoch int) {
+	c.Flags |= flag
 	c.Aux = uint8(node)
 	c.Flow = uint32(switchEpoch)
 }

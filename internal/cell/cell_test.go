@@ -11,7 +11,7 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := Cell{
 		Kind:    KindData,
-		Flags:   FlagLast,
+		Flags:   FlagHello,
 		Src:     12,
 		Dst:     107,
 		Flow:    0xDEADBEEF,
@@ -31,74 +31,54 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		!bytes.Equal(got.Payload, c.Payload) {
 		t.Errorf("round trip mismatch: %+v != %+v", got, c)
 	}
-	if got.Flags&FlagLast == 0 {
-		t.Error("Last flag lost")
+	if got.Flags&FlagHello == 0 {
+		t.Error("Hello flag lost")
 	}
 }
 
 func TestSuspicionPiggyback(t *testing.T) {
 	c := Cell{Kind: KindData, Src: 2, Dst: 3, Seq: 99, Payload: []byte{1}}
-	if _, _, ok := c.Suspicion(); ok {
-		t.Error("fresh cell already carries a suspicion")
+	if flags, _, _ := c.Announcement(); flags != 0 {
+		t.Error("fresh cell already carries an announcement")
 	}
-	c.SetSuspicion(7, 123)
+	c.SetAnnouncement(FlagSuspect, 7, 123)
 	buf := c.Encode(nil)
 	got, _, err := DecodeAlias(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, sw, ok := got.Suspicion()
-	if !ok || peer != 7 || sw != 123 {
-		t.Errorf("suspicion = (%d,%d,%v), want (7,123,true)", peer, sw, ok)
+	flags, peer, sw := got.Announcement()
+	if flags != FlagSuspect || peer != 7 || sw != 123 {
+		t.Errorf("suspicion = (%#x,%d,%d), want (%#x,7,123)", flags, peer, sw, FlagSuspect)
 	}
 	if got.Aux != 7 || got.Flags&FlagSuspect == 0 {
 		t.Errorf("encoding lost aux/flag: %+v", got)
-	}
-	// FlagFin travels in flags like any other bit.
-	fin := Cell{Kind: KindControl, Flags: FlagFin, Src: 1, Dst: 2}
-	g2, _, err := DecodeAlias(fin.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Flags&FlagFin == 0 {
-		t.Error("FlagFin lost")
 	}
 }
 
 func TestLifecyclePiggyback(t *testing.T) {
 	c := Cell{Kind: KindData, Src: 2, Dst: 3, Seq: 99, Payload: []byte{1}}
-	if _, _, ok := c.Join(); ok {
-		t.Error("fresh cell already carries a join")
-	}
-	if _, _, ok := c.Drain(); ok {
-		t.Error("fresh cell already carries a drain")
-	}
-	c.SetJoin(5, 42)
+	c.SetAnnouncement(FlagJoin, 5, 42)
 	got, _, err := DecodeAlias(c.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node, sw, ok := got.Join(); !ok || node != 5 || sw != 42 {
-		t.Errorf("join = (%d,%d,%v), want (5,42,true)", node, sw, ok)
-	}
-	// The announcement kinds are gated on their own flag: a join is not a
-	// suspicion or a drain.
-	if _, _, ok := got.Suspicion(); ok {
-		t.Error("join read back as suspicion")
-	}
-	if _, _, ok := got.Drain(); ok {
-		t.Error("join read back as drain")
+	// The announcement kinds are told apart by their own flag: a join is
+	// not a suspicion or a drain.
+	if flags, node, sw := got.Announcement(); flags != FlagJoin || node != 5 || sw != 42 {
+		t.Errorf("join = (%#x,%d,%d), want (%#x,5,42)", flags, node, sw, FlagJoin)
 	}
 	d := Cell{Kind: KindData, Src: 1, Dst: 2, Seq: 7, Payload: []byte{9}}
-	d.SetDrain(3, 17)
+	d.SetAnnouncement(FlagDrain, 3, 17)
 	got2, _, err := DecodeAlias(d.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node, sw, ok := got2.Drain(); !ok || node != 3 || sw != 17 {
-		t.Errorf("drain = (%d,%d,%v), want (3,17,true)", node, sw, ok)
+	if flags, node, sw := got2.Announcement(); flags != FlagDrain || node != 3 || sw != 17 {
+		t.Errorf("drain = (%#x,%d,%d), want (%#x,3,17)", flags, node, sw, FlagDrain)
 	}
-	// Hello and welcome are control cells distinguished by flags.
+	// Hello and welcome are control cells distinguished by flags; a hello
+	// is not an announcement.
 	hello := Cell{Kind: KindControl, Flags: FlagHello, Src: 6}
 	g3, _, err := DecodeAlias(hello.Encode(nil))
 	if err != nil {
@@ -107,14 +87,47 @@ func TestLifecyclePiggyback(t *testing.T) {
 	if g3.Flags&FlagHello == 0 || g3.Src != 6 {
 		t.Error("hello lost flags or src")
 	}
+	if flags, _, _ := g3.Announcement(); flags != 0 {
+		t.Errorf("hello read back as announcement %#x", flags)
+	}
 	welcome := Cell{Kind: KindControl, Src: 0, Dst: 6, Payload: []byte{0x3f}}
-	welcome.SetJoin(6, 42)
+	welcome.SetAnnouncement(FlagJoin, 6, 42)
 	g4, _, err := DecodeAlias(welcome.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node, sw, ok := g4.Join(); !ok || node != 6 || sw != 42 || g4.Payload[0] != 0x3f {
+	if flags, node, sw := g4.Announcement(); flags != FlagJoin || node != 6 || sw != 42 || g4.Payload[0] != 0x3f {
 		t.Error("welcome lost join fields or membership payload")
+	}
+}
+
+// TestFlagBitsOnTheWire pins the encoded flags byte (header offset 2) of
+// every membership message, so no change to the codec can move a bit that
+// nodes of another build read.
+func TestFlagBitsOnTheWire(t *testing.T) {
+	announce := func(kind Kind, flag uint8) Cell {
+		c := Cell{Kind: kind, Src: 1, Dst: 2}
+		c.SetAnnouncement(flag, 3, 9)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		c    Cell
+		want byte
+	}{
+		{"suspicion", announce(KindData, FlagSuspect), 0x02},
+		{"join on a data cell", announce(KindData, FlagJoin), 0x08},
+		{"welcome", announce(KindControl, FlagJoin), 0x08},
+		{"drain", announce(KindData, FlagDrain), 0x10},
+		{"hello", Cell{Kind: KindControl, Flags: FlagHello, Src: 1, Dst: 2}, 0x20},
+	} {
+		buf := tc.c.Encode(nil)
+		if buf[2] != tc.want {
+			t.Errorf("%s: flags byte %#02x, want %#02x", tc.name, buf[2], tc.want)
+		}
+		if buf[3] != 3 && tc.want != 0x20 {
+			t.Errorf("%s: aux byte %d, want 3", tc.name, buf[3])
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func TestIdleFlusherDeliversStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.SetBatching(1024, 1<<20, time.Millisecond)
+	e.SetBatching(1024)
 	go e.Serve()
 
 	sink := &sinkConn{}

@@ -27,8 +27,8 @@ const parkLimit = 4096
 // stalls must not pin emulator resources.
 const handshakeTimeout = 5 * time.Second
 
-// Default write-coalescing policy for the output ports (SetBatching
-// overrides). A batch is flushed as soon as it holds DefaultBatchFrames
+// Write-coalescing policy for the output ports (SetBatching overrides the
+// frame budget). A batch is flushed as soon as it holds DefaultBatchFrames
 // frames or DefaultBatchBytes bytes, when the contributing input stream
 // momentarily drains (the per-epoch burst boundary), or — for stragglers —
 // by an idle flusher that runs every DefaultFlushInterval.
@@ -98,11 +98,9 @@ type Emulator struct {
 	flipProb float64
 	plan     *fault.Plan
 
-	batchFrames   int
-	batchBytes    int
-	flushInterval time.Duration
-	flushQuit     chan struct{}
-	flushStop     sync.Once
+	batchFrames int
+	flushQuit   chan struct{}
+	flushStop   sync.Once
 
 	out []outPort
 
@@ -139,14 +137,9 @@ type Emulator struct {
 	flusherWG sync.WaitGroup
 }
 
-// NewEmulator listens on an ephemeral localhost port.
+// NewEmulator listens on an ephemeral localhost port with no fault plan.
 func NewEmulator(ports int, flipProb float64, seed uint64) (*Emulator, error) {
-	return NewEmulatorAddr("127.0.0.1:0", ports, flipProb, seed)
-}
-
-// NewEmulatorAddr listens on the given address with no fault plan.
-func NewEmulatorAddr(addr string, ports int, flipProb float64, seed uint64) (*Emulator, error) {
-	return NewEmulatorFault(addr, ports, flipProb, seed, nil)
+	return NewEmulatorFault("127.0.0.1:0", ports, flipProb, seed, nil)
 }
 
 // NewEmulatorFault listens on the given address and consults the given
@@ -169,19 +162,17 @@ func NewEmulatorFault(addr string, ports int, flipProb float64, seed uint64, pla
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	e := &Emulator{
-		ln:            ln,
-		ports:         ports,
-		flipProb:      flipProb,
-		plan:          plan,
-		batchFrames:   DefaultBatchFrames,
-		batchBytes:    DefaultBatchBytes,
-		flushInterval: DefaultFlushInterval,
-		flushQuit:     make(chan struct{}),
-		out:           make([]outPort, ports),
-		regCount:      make([]int, ports),
-		eofFinal:      make([]bool, ports),
-		rmu:           make([]sync.Mutex, ports),
-		rngs:          make([]*rng.RNG, ports),
+		ln:          ln,
+		ports:       ports,
+		flipProb:    flipProb,
+		plan:        plan,
+		batchFrames: DefaultBatchFrames,
+		flushQuit:   make(chan struct{}),
+		out:         make([]outPort, ports),
+		regCount:    make([]int, ports),
+		eofFinal:    make([]bool, ports),
+		rmu:         make([]sync.Mutex, ports),
+		rngs:        make([]*rng.RNG, ports),
 	}
 	for p := 0; p < ports; p++ {
 		e.out[p].mayReconnect = true // never registered yet
@@ -191,21 +182,12 @@ func NewEmulatorFault(addr string, ports int, flipProb float64, seed uint64, pla
 	return e, nil
 }
 
-// SetBatching configures the per-output-port write coalescing policy:
-// flush a port's batch once it holds `frames` frames or `bytes` bytes,
-// and let the idle flusher sweep stragglers every `interval`. frames = 1
-// disables coalescing — every routed frame is written immediately, the
-// pre-batching behavior. Non-positive values keep the defaults. Call
-// before Serve.
-func (e *Emulator) SetBatching(frames, bytes int, interval time.Duration) {
+// SetBatching sets the frames a port's batch holds before it is flushed;
+// 1 disables coalescing (every routed frame is written at once), and a
+// non-positive value keeps the default. Call before Serve.
+func (e *Emulator) SetBatching(frames int) {
 	if frames > 0 {
 		e.batchFrames = frames
-	}
-	if bytes > 0 {
-		e.batchBytes = bytes
-	}
-	if interval > 0 {
-		e.flushInterval = interval
 	}
 }
 
@@ -327,7 +309,7 @@ func (e *Emulator) Serve() error {
 func (e *Emulator) idleFlusher() {
 	defer e.wg.Done()
 	defer e.flusherWG.Done()
-	t := time.NewTicker(e.flushInterval)
+	t := time.NewTicker(DefaultFlushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -546,7 +528,7 @@ func (e *Emulator) deliver(out int, frame []byte) {
 	e.appendLocked(op, frame)
 	if op.frames >= e.batchFrames {
 		e.flushLocked(out, op, e.tel.flushBatch)
-	} else if len(*op.pending) >= e.batchBytes {
+	} else if len(*op.pending) >= DefaultBatchBytes {
 		e.flushLocked(out, op, e.tel.flushBytes)
 	}
 	op.mu.Unlock()
@@ -613,7 +595,7 @@ func (e *Emulator) parkFrameLocked(op *outPort, frame []byte) {
 	}
 	e.appendLocked(op, frame)
 	e.tel.parked.Inc()
-	if len(*op.pending) >= e.batchBytes {
+	if len(*op.pending) >= DefaultBatchBytes {
 		e.sealPendingLocked(op)
 	}
 	e.notePark(op)

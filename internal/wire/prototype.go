@@ -42,17 +42,10 @@ type PrototypeConfig struct {
 	SuspectTimeout time.Duration
 	Timeout        time.Duration
 
-	// TrackEpochs records per-epoch reception for goodput analysis; it is
-	// enabled automatically when a plan is present.
-	TrackEpochs bool
-
-	// BatchFrames, BatchBytes and FlushInterval configure the emulator's
-	// per-output-port write coalescing (Emulator.SetBatching). Zero
-	// values take the defaults; BatchFrames = 1 disables coalescing
-	// (the pre-batching per-frame write behavior).
-	BatchFrames   int
-	BatchBytes    int
-	FlushInterval time.Duration
+	// BatchFrames is the emulator's per-output-port write coalescing
+	// budget (Emulator.SetBatching). Zero takes the default; 1 disables
+	// coalescing (the pre-batching per-frame write behavior).
+	BatchFrames int
 
 	// Telemetry, Health and Tracer are forwarded to every node and the
 	// emulator, so a live fabric exposes per-node counters, degraded
@@ -137,7 +130,6 @@ func RunPrototypeCfg(cfg PrototypeConfig) (*FaultStats, error) {
 	if cfg.Plan != nil && cfg.Plan.Seed != 0 {
 		seed = cfg.Plan.Seed
 	}
-	track := cfg.TrackEpochs || !cfg.Plan.Empty()
 
 	em, err := NewEmulatorFault("127.0.0.1:0", cfg.Nodes, cfg.FlipProb, seed, cfg.Plan)
 	if err != nil {
@@ -146,9 +138,7 @@ func RunPrototypeCfg(cfg PrototypeConfig) (*FaultStats, error) {
 	if cfg.Telemetry != nil || cfg.Health != nil {
 		em.Instrument(cfg.Telemetry, cfg.Health)
 	}
-	if cfg.BatchFrames != 0 || cfg.BatchBytes != 0 || cfg.FlushInterval != 0 {
-		em.SetBatching(cfg.BatchFrames, cfg.BatchBytes, cfg.FlushInterval)
-	}
+	em.SetBatching(cfg.BatchFrames)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- em.Serve() }()
 
@@ -169,7 +159,6 @@ func RunPrototypeCfg(cfg PrototypeConfig) (*FaultStats, error) {
 				SuspectTimeout: cfg.SuspectTimeout,
 				MissThreshold:  cfg.MissThreshold,
 				Plan:           cfg.Plan,
-				TrackEpochs:    track,
 				Telemetry:      cfg.Telemetry,
 				Health:         cfg.Health,
 				Tracer:         cfg.Tracer,

@@ -147,7 +147,7 @@ func TestCellSurvivesFraming(t *testing.T) {
 }
 
 func TestEmulatorAddrExplicit(t *testing.T) {
-	em, err := NewEmulatorAddr("127.0.0.1:0", 2, 0, 1)
+	em, err := NewEmulatorFault("127.0.0.1:0", 2, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEmulatorAddrExplicit(t *testing.T) {
 	if em.Addr() == "" {
 		t.Error("no address")
 	}
-	if _, err := NewEmulatorAddr("256.0.0.1:99999", 2, 0, 1); err == nil {
+	if _, err := NewEmulatorFault("256.0.0.1:99999", 2, 0, 1, nil); err == nil {
 		t.Error("bad address accepted")
 	}
 }
