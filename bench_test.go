@@ -509,7 +509,8 @@ func BenchmarkWireFramesPerSecond(b *testing.B) {
 	config := map[string]any{
 		"fabric": "loopback TCP AWGR emulator, one process, wireBenchCases grid",
 		"note": "routed frames per wall second, whole fabric (emulator + n nodes); " +
-			"batch 0 = default policy (16 frames / 32KiB / 500us idle), batch 1 = per-frame writes; " +
+			"batch 0 = default policy (16 frames / 32KiB / drain after one yield / 500us idle), batch 1 = per-frame writes; " +
+			"PRBS fill and check 7 bytes per step; " +
 			"n256 has no pre-change baseline (the fabric was capped at 255 nodes before this grid)",
 	}
 	for _, tc := range wireBenchCases {
@@ -561,6 +562,22 @@ func BenchmarkPRBSFill(b *testing.B) {
 	b.SetBytes(562)
 	for i := 0; i < b.N; i++ {
 		p.Fill(buf)
+	}
+}
+
+// BenchmarkPRBSCountErrors is the receive side of BenchmarkPRBSFill: the
+// wire node re-seeds its checker per cell and counts a 562 B payload's
+// bit errors against the sequence.
+func BenchmarkPRBSCountErrors(b *testing.B) {
+	p := phy.NewPRBS(1)
+	buf := make([]byte, 562)
+	p.Fill(buf)
+	b.SetBytes(562)
+	for i := 0; i < b.N; i++ {
+		p.Reset(1)
+		if p.CountErrors(buf) != 0 {
+			b.Fatal("clean payload counted bit errors")
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 package phy
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"sirius/internal/simtime"
@@ -136,23 +137,48 @@ func (p *PRBS) NextBit() uint32 {
 	return bit
 }
 
-// nextByte advances the LFSR eight steps at once. The register is
-// linear and the feedback taps sit at bits 30 and 27, so for up to 27
-// consecutive steps every feedback bit is a function of the *original*
-// state alone: bit k (k < 28) is s[30-k] ^ s[27-k]. Packing k = 0..7
-// MSB-first gives the byte ((s>>23) ^ (s>>20)) & 0xff, and because each
-// generated bit is also the bit shifted into the register, the new
-// state is simply (s<<8 | byte) masked to 31 bits. Bit-identical to
-// eight NextBit calls (pinned by TestPRBSFillMatchesBitwise).
+// next28 advances the LFSR 28 steps at once. The register is linear
+// and the feedback taps sit at bits 30 and 27, so for 28 consecutive
+// steps every feedback bit is a function of the *original* state alone:
+// bit k (k < 28) is s[30-k] ^ s[27-k]. Packing k = 0..27 MSB-first gives
+// the word ((s>>3) ^ s) & 0x0fffffff, and because each generated bit is
+// also the bit shifted into the register, the new state is simply
+// (s<<28 | w) masked to 31 bits. Step 28 would read bit 27 of a state
+// that already holds generated bit 0, so 28 is the limit.
+func next28(s uint32) (uint32, uint32) {
+	w := ((s >> 3) ^ s) & 0x0fffffff
+	return w, ((s << 28) | w) & 0x7fffffff
+}
+
+// next56 advances the LFSR 56 steps: two 28-bit words, MSB-first, in the
+// top seven bytes of the result (its low byte is zero), so one 8-byte
+// big-endian store or load covers seven sequence bytes.
+func next56(s uint32) (uint64, uint32) {
+	hi, s := next28(s)
+	lo, s := next28(s)
+	return (uint64(hi)<<28 | uint64(lo)) << 8, s
+}
+
+// nextByte advances the LFSR eight steps: next28's argument for the top
+// eight bits, ((s>>23) ^ (s>>20)) & 0xff. Fill and CountErrors use it
+// for the fewer than eight bytes left after their 7-byte steps.
 func nextByte(s uint32) (byte, uint32) {
 	b := byte((s >> 23) ^ (s >> 20))
 	return b, ((s << 8) | uint32(b)) & 0x7fffffff
 }
 
-// Fill fills buf with sequence bytes.
+// Fill fills buf with sequence bytes, seven at a time: each step stores
+// eight bytes, and the next step overwrites the eighth. Bit-identical to
+// NextBit (pinned by TestPRBSFillMatchesBitwise and FuzzPRBS).
 func (p *PRBS) Fill(buf []byte) {
 	s := p.state
-	for i := range buf {
+	i := 0
+	for ; i+8 <= len(buf); i += 7 {
+		var w uint64
+		w, s = next56(s)
+		binary.BigEndian.PutUint64(buf[i:], w)
+	}
+	for ; i < len(buf); i++ {
 		buf[i], s = nextByte(s)
 	}
 	p.state = s
@@ -160,12 +186,19 @@ func (p *PRBS) Fill(buf []byte) {
 
 // CountErrors compares received data against the expected sequence
 // continuation and returns the number of differing bits. It generates
-// the expected bytes on the fly — no scratch buffer, no allocation —
-// so the receive hot path of the wire testbed can call it per cell.
+// the expected bytes on the fly, seven at a time against one 8-byte load
+// (the eighth byte masked off) — no scratch buffer, no allocation — so
+// the receive hot path of the wire testbed can call it per cell.
 func (p *PRBS) CountErrors(got []byte) int {
 	s := p.state
 	errs := 0
-	for i := range got {
+	i := 0
+	for ; i+8 <= len(got); i += 7 {
+		var want uint64
+		want, s = next56(s)
+		errs += bits.OnesCount64((binary.BigEndian.Uint64(got[i:]) ^ want) &^ 0xff)
+	}
+	for ; i < len(got); i++ {
 		var want byte
 		want, s = nextByte(s)
 		errs += bits.OnesCount8(got[i] ^ want)

@@ -2,9 +2,11 @@ package phy
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
+	"sirius/internal/rng"
 	"sirius/internal/simtime"
 )
 
@@ -130,33 +132,92 @@ func TestPRBSErrorCounting(t *testing.T) {
 	}
 }
 
-func TestPRBSFillMatchesBitwise(t *testing.T) {
-	// Fill/CountErrors use the 8-steps-at-once LFSR fast path; pin it
-	// bit-identical to the reference NextBit recurrence across seeds
-	// (including the degenerate all-zero / all-one states) and lengths.
-	seeds := []uint32{0, 1, 0xBEEF, 0x7fffffff, 0x40000000, 0x12345678}
-	for _, seed := range seeds {
-		fast := NewPRBS(seed)
-		ref := NewPRBS(seed)
-		for _, n := range []int{1, 7, 64, 562} {
-			got := make([]byte, n)
-			fast.Fill(got)
-			want := make([]byte, n)
-			for i := range want {
-				var b byte
-				for j := 0; j < 8; j++ {
-					b = b<<1 | byte(ref.NextBit())
-				}
-				want[i] = b
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %#x len %d: Fill diverges from NextBit reference", seed, n)
-			}
-			if fast.state != ref.state {
-				t.Fatalf("seed %#x len %d: state diverges (%#x vs %#x)", seed, n, fast.state, ref.state)
-			}
+// refPRBS is the reference: n bytes of the NextBit recurrence from
+// state s, MSB first, and the state after them.
+func refPRBS(s uint32, n int) ([]byte, uint32) {
+	p := &PRBS{state: s}
+	out := make([]byte, n)
+	for i := range out {
+		for j := 0; j < 8; j++ {
+			out[i] = out[i]<<1 | byte(p.NextBit())
 		}
 	}
+	return out, p.state
+}
+
+// checkPRBS pins Fill and CountErrors from state s to the reference over
+// n bytes, and CountErrors on a copy with the given bit positions flipped
+// (a position flipped twice cancels) to the bits that differ. It returns
+// the state after the n bytes.
+func checkPRBS(t *testing.T, s uint32, n int, flips []int) uint32 {
+	t.Helper()
+	want, wantState := refPRBS(s, n)
+	fast := &PRBS{state: s}
+	got := make([]byte, n)
+	fast.Fill(got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("state %#x len %d: Fill diverges from NextBit reference", s, n)
+	}
+	if fast.state != wantState {
+		t.Fatalf("state %#x len %d: Fill leaves state %#x, want %#x", s, n, fast.state, wantState)
+	}
+	for _, pos := range flips {
+		got[pos>>3] ^= 0x80 >> uint(pos&7)
+	}
+	diff := 0
+	for i := range got {
+		diff += bits.OnesCount8(got[i] ^ want[i])
+	}
+	chk := &PRBS{state: s}
+	if errs := chk.CountErrors(got); errs != diff {
+		t.Fatalf("state %#x len %d: CountErrors = %d with %d bits flipped", s, n, errs, diff)
+	}
+	if chk.state != wantState {
+		t.Fatalf("state %#x len %d: CountErrors leaves state %#x, want %#x", s, n, chk.state, wantState)
+	}
+	return wantState
+}
+
+func TestPRBSFillMatchesBitwise(t *testing.T) {
+	// Fill/CountErrors take seven bytes per step and finish byte-wise;
+	// pin both bit-identical to the reference NextBit recurrence across
+	// seeds (including the degenerate all-zero / all-one states) at every
+	// length that leaves a different tail, the stream continuing from one
+	// length to the next. Each length is also checked with seeded random
+	// bit flips, which CountErrors must count exactly.
+	seeds := []uint32{0, 1, 0xBEEF, 0x7fffffff, 0x40000000, 0x12345678}
+	lengths := []int{550, 562}
+	for n := 0; n <= 80; n++ {
+		lengths = append(lengths, n)
+	}
+	r := rng.New(1)
+	for _, seed := range seeds {
+		s := NewPRBS(seed).state
+		for _, n := range lengths {
+			var flips []int
+			if n > 0 {
+				flips = r.Perm(8 * n)[:r.Intn(min(8*n, 20))+1]
+			}
+			s = checkPRBS(t, s, n, flips)
+		}
+	}
+}
+
+// FuzzPRBS pins Fill and CountErrors to the NextBit reference from any
+// seed, at any length up to 2 KiB, with flips naming bit positions (two
+// bytes each) to corrupt before counting.
+func FuzzPRBS(f *testing.F) {
+	f.Add(uint32(1), uint16(562), []byte{0, 0, 1, 0x2f})
+	f.Add(uint32(0x7fffffff), uint16(7), []byte{})
+	f.Add(uint32(0), uint16(15), []byte{0, 55, 0, 56})
+	f.Fuzz(func(t *testing.T, seed uint32, length uint16, flips []byte) {
+		n := int(length) % (2<<10 + 1)
+		var pos []int
+		for i := 0; n > 0 && i+1 < len(flips); i += 2 {
+			pos = append(pos, (int(flips[i])<<8|int(flips[i+1]))%(8*n))
+		}
+		checkPRBS(t, NewPRBS(seed).state, n, pos)
+	})
 }
 
 func TestPRBSCountErrorsAllocFree(t *testing.T) {
@@ -168,6 +229,17 @@ func TestPRBSCountErrorsAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CountErrors allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+func TestPRBSFillAllocFree(t *testing.T) {
+	p := NewPRBS(7)
+	buf := make([]byte, 562)
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Fill(buf)
+	})
+	if allocs != 0 {
+		t.Errorf("Fill allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sirius/internal/cell"
+	"sirius/internal/telemetry"
 )
 
 // sinkConn is a net.Conn that accepts every write and never allocates.
@@ -65,6 +66,42 @@ func TestBatchingDifferential(t *testing.T) {
 			t.Errorf("node %d differs: batch=1 sent/recv/errs/mis %d/%d/%d/%d, batched %d/%d/%d/%d",
 				i, a.Sent, a.Received, a.BitErrors, a.Misrouted,
 				b.Sent, b.Received, b.BitErrors, b.Misrouted)
+		}
+	}
+}
+
+// TestBERAccountingExact ties the receivers' PRBS checkers to the
+// emulator's corruption bit for bit: on a noisy fabric with no fault plan
+// every flipped payload bit lands in a counted data cell, so the nodes' summed
+// BitErrors equal the emulator's sirius_awgr_bits_flipped_total, and
+// their summed Bits are every payload bit received. It runs at the
+// benchmarks' two payload sizes, batched and per-frame.
+func TestBERAccountingExact(t *testing.T) {
+	for _, payload := range []int{64, 562} {
+		for _, batch := range []int{0, 1} {
+			reg := telemetry.NewRegistry()
+			fs, err := RunPrototypeCfg(PrototypeConfig{
+				Nodes: 6, Epochs: 40, PayloadBytes: payload, FlipProb: 1e-3,
+				BatchFrames: batch, Telemetry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bitErrs, bits, received int64
+			for _, st := range fs.Nodes {
+				bitErrs += st.BitErrors
+				bits += st.Bits
+				received += int64(st.Received)
+			}
+			flipped := reg.Counter("sirius_awgr_bits_flipped_total").Value()
+			if flipped == 0 || bitErrs != flipped {
+				t.Errorf("payload %d batch %d: receivers counted %d bit errors, emulator flipped %d",
+					payload, batch, bitErrs, flipped)
+			}
+			if want := 8 * int64(payload) * received; bits != want {
+				t.Errorf("payload %d batch %d: receivers checked %d bits, want 8 x %d B x %d cells = %d",
+					payload, batch, bits, payload, received, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,7 +426,8 @@ func (e *Emulator) reject(conn net.Conn, status uint8) {
 // it and deliver copies the frame into the destination port's batch, so
 // the steady state allocates nothing. Batches this input contributed to
 // are flushed whenever the input stream momentarily drains (the sender
-// flushes once per epoch, so that is the epoch boundary).
+// flushes once per epoch, so that is the epoch boundary), after one
+// yield that lets the other inputs' bursts join them.
 func (e *Emulator) routeFrom(port, gen int, conn net.Conn) {
 	defer e.wg.Done()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -440,9 +442,13 @@ func (e *Emulator) routeFrom(port, gen int, conn net.Conn) {
 			return
 		}
 		e.routeOne(port, w, buf[:frameHeader+len(cellBytes)], cellBytes, dirty, &touched)
-		if br.Buffered() == 0 {
-			// Input drained: the epoch burst is over. Flush every batch
-			// this input touched so receivers see their cells now.
+		if br.Buffered() == 0 && len(touched) > 0 {
+			// Input drained: the epoch burst is over. Yield once first,
+			// so the inputs whose bursts have already arrived append to
+			// the same ports (each burst fans out to every output), then
+			// flush every batch this input touched so receivers see their
+			// cells now; a port another input flushed meanwhile no-ops.
+			runtime.Gosched()
 			e.flushDirty(dirty, &touched)
 		}
 	}
