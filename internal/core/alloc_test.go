@@ -61,7 +61,7 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 }
 
 // TestRunSteadyStateZeroAlloc pins the zero-allocation contract of the hot
-// path: once every fifo size class has seen its peak and the congestion
+// path: once the cell pools have seen their peak and the congestion
 // controller's grant buffers have grown to their high-water mark, an
 // epoch of slots performs no heap allocations in any operating mode.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
@@ -77,7 +77,7 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 		{"paced", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64 }, 4000, 0},
 		// Four engines of one configuration stepped in turn on one
 		// goroutine, as engines share a CPU in a parallel sweep: each owns
-		// its arenas, fifos and grant buffers, so interleaving them must
+		// its pools, fifos and grant buffers, so interleaving them must
 		// stay allocation-free too.
 		{"requestgrant_sharded", func(c *Config) {}, 4000, 4},
 		{"ideal_sharded", func(c *Config) { c.Mode = ModeIdeal }, 4000, 4},
@@ -134,22 +134,29 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestArenaSteadyStateRecycling checks the arena contract directly: after
-// a grow/drain cycle has seeded a size class, further cycles reuse the
-// banked segment instead of allocating.
-func TestArenaSteadyStateRecycling(t *testing.T) {
-	var a arena[int64]
-	var q fifo[int64]
+// TestPoolSteadyStateRecycling checks the pool's contract directly: once
+// one fill-and-drain cycle over queues sharing the pool has grown it to
+// the peak, further cycles take every cell from the free list and
+// allocate nothing, and the pool never holds more cells than that peak.
+func TestPoolSteadyStateRecycling(t *testing.T) {
+	const cells = 4096
+	var p pool[int64]
+	qs := make([]fifo[int64], 8)
 	cycle := func() {
-		for i := int64(0); i < 4*releaseCap; i++ {
-			q.push(i, &a)
+		for i := int64(0); i < cells; i++ {
+			qs[i%int64(len(qs))].push(i, &p)
 		}
-		for !q.empty() {
-			q.pop(&a)
+		for q := range qs {
+			for !qs[q].empty() {
+				qs[q].pop(&p)
+			}
 		}
 	}
-	cycle() // seed every class up to 4*releaseCap
+	cycle()
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Errorf("grow/drain cycle allocates %.2f objects, want 0", avg)
+		t.Errorf("fill/drain cycle allocates %.2f objects, want 0", avg)
+	}
+	if got := len(p.cells) - 1; got != cells {
+		t.Errorf("pool holds %d cells after cycles peaking at %d", got, cells)
 	}
 }
