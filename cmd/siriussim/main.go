@@ -30,7 +30,10 @@
 // Chrome trace_event timeline with one span per experiment and one span
 // per sweep point (plus cache-hit instants), loadable in Perfetto;
 // -perfjson FILE writes the per-experiment perf summaries as JSON
-// records (the -perf stderr text is unchanged); -telemetry ADDR serves
+// records (the -perf stderr text is unchanged); each record's
+// peak_rss_mb is the process's resident-set high-water mark so far
+// (getrusage ru_maxrss) when the experiment ends, so under -exp all it
+// covers every experiment before it too. -telemetry ADDR serves
 // /metrics and /healthz live during the run.
 //
 // Distributed sweeps (DESIGN.md §9): -serve ADDR runs a sweep
@@ -349,6 +352,7 @@ func run(args []string) int {
 		FlowsPerSec float64 `json:"flows_per_sec,omitempty"`
 		DCFlows     int64   `json:"dc_flows,omitempty"`
 		Racks       int64   `json:"racks,omitempty"`
+		PeakRSSMB   float64 `json:"peak_rss_mb"`
 		Err         string  `json:"error,omitempty"`
 	}
 	var perfRecords []perfRecord
@@ -373,7 +377,7 @@ func run(args []string) int {
 			cells, slots := core.Counters()
 			flows, events := fluid.Counters()
 			dcFlows, racks := dc.Counters()
-			rec := perfRecord{Exp: id, WallNS: wall.Nanoseconds()}
+			rec := perfRecord{Exp: id, WallNS: wall.Nanoseconds(), PeakRSSMB: peakRSSMB()}
 			if err != nil {
 				rec.Err = err.Error()
 			}
@@ -466,7 +470,8 @@ func run(args []string) int {
 				float64(st.Completed)/wall.Seconds(), st.Reclaimed, st.Registered)
 		}
 		if *perfJSON != "" {
-			rec := perfRecord{Exp: *name, Role: "coordinator", WallNS: wall.Nanoseconds(), Points: st.Completed}
+			rec := perfRecord{Exp: *name, Role: "coordinator", WallNS: wall.Nanoseconds(),
+				Points: st.Completed, PeakRSSMB: peakRSSMB()}
 			if wall > 0 {
 				rec.PointsPerSec = float64(st.Completed) / wall.Seconds()
 			}
@@ -574,4 +579,14 @@ func parseFloats(s string) ([]float64, error) {
 		return nil, fmt.Errorf("no load points")
 	}
 	return out, nil
+}
+
+// peakRSSMB is the process's resident-set high-water mark so far, in MB
+// (10^6 bytes): getrusage's ru_maxrss, which Linux reports in KiB.
+func peakRSSMB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Maxrss) * 1024 / 1e6
 }

@@ -187,21 +187,26 @@ func TestObservabilityArtifacts(t *testing.T) {
 		t.Errorf("trace missing spans: experiment=%v point=%v", sawExp, sawPoint)
 	}
 
-	// Perf JSON: one record for the experiment, with wall time and cells.
+	// Perf JSON: one record for the experiment, with wall time, cells and
+	// the process's peak resident set.
 	data, err = os.ReadFile(perfOut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []struct {
-		Exp    string `json:"exp"`
-		WallNS int64  `json:"wall_ns"`
-		Cells  int64  `json:"cells"`
+		Exp       string   `json:"exp"`
+		WallNS    int64    `json:"wall_ns"`
+		Cells     int64    `json:"cells"`
+		PeakRSSMB *float64 `json:"peak_rss_mb"`
 	}
 	if err := json.Unmarshal(data, &recs); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].Exp != "fig9" || recs[0].WallNS <= 0 || recs[0].Cells <= 0 {
 		t.Errorf("perf records = %+v", recs)
+	}
+	if len(recs) == 1 && (recs[0].PeakRSSMB == nil || *recs[0].PeakRSSMB <= 0) {
+		t.Errorf("perf record has no positive peak_rss_mb: %s", data)
 	}
 
 	// Telemetry snapshot: the core simulator flushed its counters.
