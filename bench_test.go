@@ -509,7 +509,7 @@ func BenchmarkWireFramesPerSecond(b *testing.B) {
 	config := map[string]any{
 		"fabric": "loopback TCP AWGR emulator, one process, wireBenchCases grid",
 		"note": "routed frames per wall second, whole fabric (emulator + n nodes); " +
-			"batch 0 = default policy (16 frames / 32KiB / drain after one yield / 500us idle), batch 1 = per-frame writes; " +
+			"batch 0 = default policy (16 frames / 32KiB / drain after one yield), batch 1 = per-frame writes; " +
 			"PRBS fill and check 7 bytes per step; " +
 			"n256 has no pre-change baseline (the fabric was capped at 255 nodes before this grid)",
 	}

@@ -28,14 +28,13 @@ const exitCrashed = 3
 
 // clusterSpec is the opaque Welcome payload cmd/siriussim exchanges: it
 // names the experiment and the knobs that shape its point grid, so a
-// worker can re-expand exactly the coordinator's point set. HashPoints
-// on both sides guards against any drift this spec fails to capture.
+// worker can re-expand exactly the coordinator's point set (the root
+// seed travels in the Welcome itself). HashPoints on both sides guards
+// against any drift this spec fails to capture.
 type clusterSpec struct {
-	Exp    string    `json:"exp"`
-	Scale  string    `json:"scale"`
-	Seed   uint64    `json:"seed"`
-	Loads  []float64 `json:"loads"`
-	Epochs int       `json:"epochs,omitempty"`
+	Exp   string    `json:"exp"`
+	Scale string    `json:"scale"`
+	Loads []float64 `json:"loads"`
 }
 
 // sweepExps are the experiments that run on the sweep engine — the only
@@ -98,7 +97,8 @@ func expandSweep(ctx context.Context, name string, sc exp.Scale, loads []float64
 	return points, nil
 }
 
-// scaleByName resolves a clusterSpec scale name.
+// scaleByName resolves a -scale name, for run() and for a worker reading
+// its coordinator's clusterSpec alike.
 func scaleByName(name string) (exp.Scale, error) {
 	switch name {
 	case "tiny":
@@ -107,6 +107,8 @@ func scaleByName(name string) (exp.Scale, error) {
 		return exp.SmallScale(), nil
 	case "paper":
 		return exp.PaperScale(), nil
+	case "xl":
+		return exp.XLScale(), nil
 	}
 	return exp.Scale{}, fmt.Errorf("unknown scale %q", name)
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sirius/internal/exp"
 	"sirius/internal/telemetry"
 )
 
@@ -138,7 +139,8 @@ func TestClusterCLIEndToEnd(t *testing.T) {
 	}
 
 	// Manifest: the fig9 sweep carries per-worker provenance whose point
-	// counts add up to the full grid (the doomed worker completed none).
+	// counts add up to the full grid (the doomed worker completed none),
+	// each with the environment its worker registered with.
 	var man struct {
 		Sweeps []struct {
 			Name    string `json:"name"`
@@ -146,6 +148,9 @@ func TestClusterCLIEndToEnd(t *testing.T) {
 			Workers []struct {
 				Worker string `json:"worker"`
 				Points int    `json:"points"`
+				Env    *struct {
+					GoVersion string `json:"go_version"`
+				} `json:"env"`
 			} `json:"workers"`
 		} `json:"sweeps"`
 	}
@@ -163,6 +168,9 @@ func TestClusterCLIEndToEnd(t *testing.T) {
 	for _, w := range man.Sweeps[0].Workers {
 		if w.Worker == "doomed" && w.Points > 0 {
 			t.Errorf("doomed worker credited with %d point(s)", w.Points)
+		}
+		if w.Env == nil || w.Env.GoVersion == "" {
+			t.Errorf("worker %s has no RunEnv in the manifest", w.Worker)
 		}
 		total += w.Points
 	}
@@ -212,5 +220,30 @@ func TestClusterRoleValidation(t *testing.T) {
 	}
 	if _, code := captureRun(t, "-serve", "127.0.0.1:0", "-worker", "127.0.0.1:1", "-exp", "fig9", "-manifest", ""); code != 2 {
 		t.Errorf("-serve + -worker exit = %d, want 2", code)
+	}
+}
+
+// TestScaleByName pins every -scale name to its preset. run() and the
+// worker role both resolve through scaleByName, so a coordinator can
+// never start at a scale its workers do not know.
+func TestScaleByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want exp.Scale
+	}{
+		{"tiny", exp.TinyScale()},
+		{"small", exp.SmallScale()},
+		{"paper", exp.PaperScale()},
+		{"xl", exp.XLScale()},
+	} {
+		got, err := scaleByName(tc.name)
+		if err != nil {
+			t.Errorf("scaleByName(%q): %v", tc.name, err)
+		} else if got != tc.want {
+			t.Errorf("scaleByName(%q) = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	if _, err := scaleByName("galactic"); err == nil {
+		t.Error("scaleByName accepted an unknown scale")
 	}
 }

@@ -153,18 +153,9 @@ func run(args []string) int {
 		}()
 	}
 
-	var sc exp.Scale
-	switch *scale {
-	case "tiny":
-		sc = exp.TinyScale()
-	case "small":
-		sc = exp.SmallScale()
-	case "paper":
-		sc = exp.PaperScale()
-	case "xl":
-		sc = exp.XLScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := scaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if *seed != 0 {
@@ -248,7 +239,7 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 			return 2
 		}
-		spec, err := json.Marshal(clusterSpec{Exp: *name, Scale: *scale, Seed: sc.Seed, Loads: loadList, Epochs: *epochs})
+		spec, err := json.Marshal(clusterSpec{Exp: *name, Scale: *scale, Loads: loadList})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 			return 2
@@ -478,11 +469,9 @@ func run(args []string) int {
 			perfRecords = append(perfRecords, rec)
 		}
 		// Attach per-worker provenance (who computed what, on which
-		// build) to the manifest's sweeps via the coordinator's merge.
+		// build) to the manifest's sweeps.
 		for i := range sweeps {
-			if merged, err := coord.MergedManifest(sweeps[i].Name); err == nil {
-				sweeps[i].Workers = merged.Workers
-			}
+			sweeps[i].Workers = coord.Workers(sweeps[i].Points)
 		}
 	}
 

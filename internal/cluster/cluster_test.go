@@ -86,8 +86,9 @@ func waitStats(t *testing.T, c *Coordinator, what string, pred func(Stats) bool)
 }
 
 // TestClusterMatchesSerial is the core acceptance test: a coordinator
-// fanning a sweep out to three workers produces rows and a merged
-// manifest identical (canonical form) to a serial run at the same seed.
+// fanning a sweep out to three workers produces rows and a manifest
+// identical (canonical form) to a serial run at the same seed, and
+// Workers credits every point to a worker that kept its RunEnv.
 func TestClusterMatchesSerial(t *testing.T) {
 	const n, seed = 12, uint64(777)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -132,20 +133,18 @@ func TestClusterMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(rows, wantRows) {
 		t.Fatal("cluster rows differ from serial rows")
 	}
-	if got := rc.Manifests()[0].Canonical(); !reflect.DeepEqual(got, wantMan.Canonical()) {
+	man := rc.Manifests()[0]
+	if got := man.Canonical(); !reflect.DeepEqual(got, wantMan.Canonical()) {
 		t.Fatalf("coordinator manifest diverges from serial\ngot:  %+v\nwant: %+v", got, wantMan.Canonical())
 	}
-	merged, err := coord.MergedManifest("fig9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Canonical(); !reflect.DeepEqual(got, wantMan.Canonical()) {
-		t.Fatalf("merged worker manifest diverges from serial\ngot:  %+v\nwant: %+v", got, wantMan.Canonical())
-	}
+	ws := coord.Workers(man.Points)
 	total := 0
-	for _, w := range merged.Workers {
-		if w.Env == nil {
-			t.Errorf("worker %s lost its RunEnv in the merge", w.Worker)
+	for i, w := range ws {
+		if w.Env == nil || w.Env.GoVersion == "" {
+			t.Errorf("worker %s lost its RunEnv", w.Worker)
+		}
+		if i > 0 && w.Worker <= ws[i-1].Worker {
+			t.Errorf("workers not sorted by name: %s after %s", w.Worker, ws[i-1].Worker)
 		}
 		total += w.Points
 	}
@@ -467,12 +466,13 @@ func TestSharedCacheResultStore(t *testing.T) {
 	if !reflect.DeepEqual(rows, wantRows) {
 		t.Fatal("worker cache replay rows differ from serial rows")
 	}
-	merged, err := coord.MergedManifest("fig9")
-	if err != nil {
-		t.Fatal(err)
+	man := rc.Manifests()[0]
+	if man.CacheHit != n {
+		t.Errorf("worker-side cache hits = %d, want %d", man.CacheHit, n)
 	}
-	if merged.CacheHit != n {
-		t.Errorf("worker-side cache hits = %d, want %d", merged.CacheHit, n)
+	if ws := coord.Workers(man.Points); len(ws) != 1 || ws[0].Worker != "warm" ||
+		ws[0].Points != n || ws[0].CacheHits != n || ws[0].Env == nil {
+		t.Errorf("workers = %+v, want warm credited with %d points, all cache hits, with its RunEnv", ws, n)
 	}
 	coord.Close()
 
@@ -509,8 +509,12 @@ func TestSharedCacheResultStore(t *testing.T) {
 	if st := coord2.Stats(); st.Granted != 0 {
 		t.Errorf("granted = %d leases despite a fully warm coordinator cache", st.Granted)
 	}
-	if man := rc2.Manifests()[0]; man.CacheHit != n {
+	man = rc2.Manifests()[0]
+	if man.CacheHit != n {
 		t.Errorf("coordinator cache hits = %d, want %d", man.CacheHit, n)
+	}
+	if ws := coord2.Workers(man.Points); len(ws) != 0 {
+		t.Errorf("workers = %+v for points the coordinator served itself, want none", ws)
 	}
 }
 

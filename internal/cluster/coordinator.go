@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +85,6 @@ type pendingPoint struct {
 type workerConn struct {
 	name string
 	id   int
-	env  *sweep.RunEnv
 	conn net.Conn
 }
 
@@ -101,8 +101,8 @@ type Coordinator struct {
 	queue    []*pendingPoint // leasable, FIFO
 	byID     map[pointID]*pendingPoint
 	workers  map[string]*workerConn
-	lost     map[string]map[pointID]struct{}            // worker -> points it abandoned
-	partials map[string]map[string]*sweep.SweepManifest // sweep -> worker -> partial
+	envs     map[string]*sweep.RunEnv        // worker -> RunEnv it last registered with
+	lost     map[string]map[pointID]struct{} // worker -> points it abandoned
 	finished bool
 	closed   bool
 
@@ -151,12 +151,12 @@ func NewCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 	reg := cfg.Registry
 	counter := func(name string) *leaseCounter { return &leaseCounter{series: reg.Counter(name)} }
 	c := &Coordinator{
-		cfg:      cfg,
-		ln:       ln,
-		byID:     make(map[pointID]*pendingPoint),
-		workers:  make(map[string]*workerConn),
-		lost:     make(map[string]map[pointID]struct{}),
-		partials: make(map[string]map[string]*sweep.SweepManifest),
+		cfg:     cfg,
+		ln:      ln,
+		byID:    make(map[pointID]*pendingPoint),
+		workers: make(map[string]*workerConn),
+		envs:    make(map[string]*sweep.RunEnv),
+		lost:    make(map[string]map[pointID]struct{}),
 
 		ctrGranted:    counter("sirius_cluster_leases_granted_total"),
 		ctrExpired:    counter("sirius_cluster_leases_expired_total"),
@@ -290,38 +290,33 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// WorkerManifests returns the per-worker partial manifests accumulated
-// for the named sweep, in worker-name order.
-func (c *Coordinator) WorkerManifests(sweepName string) []sweep.SweepManifest {
+// Workers summarizes, per worker, the points a sweep's records credit
+// to it (PointRecord.Worker; records the coordinator served from its own
+// cache name no worker), with the RunEnv the worker registered with. The
+// result is the manifest's workers[], sorted by worker name.
+func (c *Coordinator) Workers(points []sweep.PointRecord) []sweep.WorkerRun {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	byWorker := c.partials[sweepName]
-	names := make([]string, 0, len(byWorker))
-	for n := range byWorker {
-		names = append(names, n)
-	}
-	// Insertion order is map order; sort for stable output.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
+	index := make(map[string]int)
+	var out []sweep.WorkerRun
+	for _, p := range points {
+		if p.Worker == "" {
+			continue
+		}
+		i, ok := index[p.Worker]
+		if !ok {
+			i = len(out)
+			index[p.Worker] = i
+			out = append(out, sweep.WorkerRun{Worker: p.Worker, Env: c.envs[p.Worker]})
+		}
+		out[i].Points++
+		out[i].WallNS += p.WallNS
+		if p.Cached {
+			out[i].CacheHits++
 		}
 	}
-	out := make([]sweep.SweepManifest, 0, len(names))
-	for _, n := range names {
-		out = append(out, *byWorker[n])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
-}
-
-// MergedManifest merges the named sweep's per-worker partials
-// (sweep.MergeManifests): the distributed run's manifest, canonically
-// equal to a serial run's.
-func (c *Coordinator) MergedManifest(sweepName string) (sweep.SweepManifest, error) {
-	parts := c.WorkerManifests(sweepName)
-	if len(parts) == 0 {
-		return sweep.SweepManifest{}, fmt.Errorf("cluster: no results recorded for sweep %q", sweepName)
-	}
-	return sweep.MergeManifests(parts...)
 }
 
 // acceptLoop admits workers until Close. A failed registration rejects
@@ -373,7 +368,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		writeMsg(conn, FrameError, ErrorMsg{Msg: "empty worker name"})
 		return
 	}
-	w := &workerConn{name: reg.Worker, id: reg.ID, env: reg.Env, conn: conn}
+	w := &workerConn{name: reg.Worker, id: reg.ID, conn: conn}
 	c.mu.Lock()
 	if _, dup := c.workers[w.name]; dup {
 		c.mu.Unlock()
@@ -381,6 +376,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 	c.workers[w.name] = w
+	c.envs[w.name] = reg.Env
 	c.gWorkers.SetInt(int64(len(c.workers)))
 	c.mu.Unlock()
 	c.ctrRegistered.Inc()
@@ -518,9 +514,9 @@ func (c *Coordinator) extendLease(worker string, id pointID) {
 
 // handleResult completes a point: first result wins (duplicates from
 // reclaimed leases are counted and dropped — determinism makes them
-// interchangeable), the record is stamped with the worker's name, the
-// worker's partial manifest grows, and any lost-worker health condition
-// whose last outstanding point this was clears.
+// interchangeable), the record is stamped with the worker's name, and
+// any lost-worker health condition whose last outstanding point this was
+// clears.
 func (c *Coordinator) handleResult(w *workerConn, res *ResultMsg) error {
 	id := pointID{sweep: res.Sweep, index: res.Index}
 	c.mu.Lock()
@@ -540,32 +536,6 @@ func (c *Coordinator) handleResult(w *workerConn, res *ResultMsg) error {
 	rec := res.Record
 	rec.Worker = w.name
 	rec.Index = id.index
-
-	// Grow the worker's partial manifest for this sweep.
-	if res.Err == "" {
-		byWorker := c.partials[id.sweep]
-		if byWorker == nil {
-			byWorker = make(map[string]*sweep.SweepManifest)
-			c.partials[id.sweep] = byWorker
-		}
-		part := byWorker[w.name]
-		if part == nil {
-			part = &sweep.SweepManifest{
-				Name:     id.sweep,
-				RootSeed: c.cfg.RootSeed,
-				Parallel: 1,
-				Workers:  []sweep.WorkerRun{{Worker: w.name, Env: w.env}},
-			}
-			byWorker[w.name] = part
-		}
-		part.Points = append(part.Points, rec)
-		part.Workers[0].Points++
-		part.Workers[0].WallNS += rec.WallNS
-		if rec.Cached {
-			part.CacheHit++
-			part.Workers[0].CacheHits++
-		}
-	}
 
 	// This point may have been the last outstanding debt of a lost
 	// worker: clear its health condition when its set drains.

@@ -16,9 +16,10 @@
 //     under Identity.Hash(); when coordinator and workers share a cache
 //     directory it becomes the shared result store — a point computed by
 //     a crashed worker's earlier run replays instead of recomputing.
-//  3. Manifests. Each result carries its PointRecord; the coordinator
-//     accumulates per-worker partial manifests and merges them
-//     (sweep.MergeManifests) into the serial manifest's canonical form.
+//  3. Manifests. Each result carries its PointRecord, which the
+//     coordinator's sweep Runner records like any other point: its
+//     manifest is the run's record, canonically equal to a serial run's,
+//     and Coordinator.Workers summarizes its points by worker.
 //
 // The protocol mirrors internal/wire's framing discipline: length-
 // prefixed frames, a defensive size bound, and a decoder that rejects

@@ -16,6 +16,9 @@ import (
 	"sirius/internal/telemetry"
 )
 
+// dialTimeout bounds a worker's dial and its wait for the Welcome.
+const dialTimeout = 10 * time.Second
+
 // ErrCrashed is returned by Worker.Run when a fault plan scripted this
 // worker to crash: the connection is dropped abruptly, mid-lease, so the
 // coordinator sees a dead worker and must reclaim.
@@ -42,8 +45,6 @@ type WorkerConfig struct {
 	Registry *telemetry.Registry
 	// Log, when non-nil, receives one line per worker event.
 	Log io.Writer
-	// DialTimeout bounds the initial dial; <= 0 defaults to 10s.
-	DialTimeout time.Duration
 }
 
 // Worker is a registered cluster worker: it leases points from a
@@ -76,10 +77,7 @@ func Dial(addr string, cfg WorkerConfig) (*Worker, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
@@ -95,7 +93,7 @@ func Dial(addr string, cfg WorkerConfig) (*Worker, error) {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: register: %w", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(cfg.DialTimeout))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	t, payload, err := ReadFrame(w.br)
 	if err != nil {
 		conn.Close()

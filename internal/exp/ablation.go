@@ -23,13 +23,13 @@ func Ablation(ctx context.Context, rn *sweep.Runner, s Scale, load float64) (*Ta
 	}
 	variants := []struct {
 		name   string
-		mutate func(*siriusOpts, *core.Config)
+		mutate func(*core.Config)
 	}{
-		{"SIRIUS (baseline)", func(o *siriusOpts, c *core.Config) {}},
-		{"no direct path", func(o *siriusOpts, c *core.Config) { c.NoDirect = true }},
-		{"instant control plane", func(o *siriusOpts, c *core.Config) { c.InstantControl = true }},
-		{"oracle back-pressure", func(o *siriusOpts, c *core.Config) { c.Mode = core.ModeIdeal }},
-		{"direct-only (no VLB)", func(o *siriusOpts, c *core.Config) { c.Mode = core.ModeDirect }},
+		{"SIRIUS (baseline)", func(c *core.Config) {}},
+		{"no direct path", func(c *core.Config) { c.NoDirect = true }},
+		{"instant control plane", func(c *core.Config) { c.InstantControl = true }},
+		{"oracle back-pressure", func(c *core.Config) { c.Mode = core.ModeIdeal }},
+		{"direct-only (no VLB)", func(c *core.Config) { c.Mode = core.ModeDirect }},
 	}
 	pts := make([]sweep.Point, len(variants))
 	for i, v := range variants {
@@ -41,7 +41,9 @@ func Ablation(ctx context.Context, rn *sweep.Runner, s Scale, load float64) (*Ta
 				if err != nil {
 					return nil, err
 				}
-				res, err := s.runSiriusMutated(ctx, flows, v.mutate)
+				cfg := siriusDefaults()
+				v.mutate(&cfg)
+				res, err := s.runSirius(ctx, flows, cfg, defaultUplinks)
 				if err != nil {
 					return nil, err
 				}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"sirius/internal/core"
-	"sirius/internal/phy"
 	"sirius/internal/sched"
 	"sirius/internal/schedule"
 	"sirius/internal/sweep"
@@ -33,7 +32,7 @@ const archReconfigSlots = 1
 // static fabric.
 func (s Scale) archGeometry() (nodes, uplinks, slots int) {
 	groups := s.Racks / s.GratingPorts
-	return s.Racks, int(math.Round(float64(groups) * 1.5)), s.GratingPorts
+	return s.Racks, int(math.Round(float64(groups) * defaultUplinks)), s.GratingPorts
 }
 
 // archPlanner builds a fresh planner for one family together with the
@@ -80,17 +79,14 @@ func (s Scale) flowsSkewed(load, meanBytes, hotFrac float64, seed uint64) ([]wor
 }
 
 // runSiriusSched runs the slot-level simulator with a dynamic planner in
-// place of a static schedule, otherwise configured exactly like
-// runSirius's defaults.
+// place of a static schedule, otherwise configured like runSirius on
+// siriusDefaults.
 func (s Scale) runSiriusSched(ctx context.Context, flows []workload.Flow, p core.Planner, mode core.Mode) (*core.Results, error) {
-	cfg := core.Config{
-		Planner:       p,
-		Slot:          phy.DefaultSlot(),
-		Q:             4,
-		Mode:          mode,
-		NormalizeRate: s.nodeRate(),
-		Seed:          s.Seed,
-	}
+	cfg := siriusDefaults()
+	cfg.Planner = p
+	cfg.Mode = mode
+	cfg.NormalizeRate = s.nodeRate()
+	cfg.Seed = s.Seed
 	return core.RunContext(ctx, cfg, flows)
 }
 

@@ -33,7 +33,7 @@ func Failure(ctx context.Context, rn *sweep.Runner, s Scale, failures []int) (*T
 	if err != nil {
 		return nil, err
 	}
-	slot := defaultOpts().slot
+	slot := siriusDefaults().Slot
 
 	pts := make([]sweep.Point, len(failures))
 	for i, f := range failures {

@@ -28,47 +28,28 @@ func (s Scale) flows(load, meanBytes float64, seed uint64) ([]workload.Flow, err
 	return workload.Generate(cfg)
 }
 
-// siriusOpts collects the knobs the sweeps vary.
-type siriusOpts struct {
-	mult         float64 // uplink multiplier
-	mode         core.Mode
-	q            int
-	slot         phy.Slot
-	trackReorder bool
+// defaultUplinks is the §7 uplink provisioning: 1.5x the base uplinks.
+const defaultUplinks = 1.5
+
+// siriusDefaults is the §7 configuration of the slot-level simulator:
+// the request/grant protocol with Q = 4 on the default slot. Callers
+// edit a copy and hand it to runSirius.
+func siriusDefaults() core.Config {
+	return core.Config{Mode: core.ModeRequestGrant, Q: 4, Slot: phy.DefaultSlot()}
 }
 
-func defaultOpts() siriusOpts {
-	return siriusOpts{mult: 1.5, mode: core.ModeRequestGrant, q: 4, slot: phy.DefaultSlot()}
-}
-
-// runSirius runs the slot-level simulator at this scale.
-func (s Scale) runSirius(ctx context.Context, flows []workload.Flow, o siriusOpts) (*core.Results, error) {
-	return s.runSiriusMutated(ctx, flows, func(opts *siriusOpts, c *core.Config) { *opts = o })
-}
-
-// runSiriusMutated builds the default configuration, lets the caller
-// tweak it (both the high-level options and the raw core config), and
-// runs the simulator under ctx.
-func (s Scale) runSiriusMutated(ctx context.Context, flows []workload.Flow, mutate func(*siriusOpts, *core.Config)) (*core.Results, error) {
-	o := defaultOpts()
-	cfg := core.Config{
-		NormalizeRate: s.nodeRate(),
-		Seed:          s.Seed,
-	}
-	mutate(&o, &cfg)
+// runSirius runs the slot-level simulator at this scale: cfg on a static
+// schedule with mult times the base uplinks, normalized to the scale's
+// node rate and seeded with its seed.
+func (s Scale) runSirius(ctx context.Context, flows []workload.Flow, cfg core.Config, mult float64) (*core.Results, error) {
 	groups := s.Racks / s.GratingPorts
-	uplinks := int(math.Round(float64(groups) * o.mult))
-	sched, err := schedule.New(s.Racks, s.GratingPorts, uplinks)
+	sched, err := schedule.New(s.Racks, s.GratingPorts, int(math.Round(float64(groups)*mult)))
 	if err != nil {
 		return nil, err
 	}
 	cfg.Schedule = sched
-	cfg.Slot = o.slot
-	cfg.Q = o.q
-	if cfg.Mode == core.ModeRequestGrant {
-		cfg.Mode = o.mode
-	}
-	cfg.TrackReorder = cfg.TrackReorder || o.trackReorder
+	cfg.NormalizeRate = s.nodeRate()
+	cfg.Seed = s.Seed
 	return core.RunContext(ctx, cfg, flows)
 }
 
@@ -119,13 +100,13 @@ func Fig9(ctx context.Context, rn *sweep.Runner, s Scale, loads []float64) (*Tab
 					return nil, err
 				}
 				sp := s.withSeed(seed)
-				sir, err := sp.runSirius(ctx, flows, defaultOpts())
+				cfg := siriusDefaults()
+				sir, err := sp.runSirius(ctx, flows, cfg, defaultUplinks)
 				if err != nil {
 					return nil, err
 				}
-				io := defaultOpts()
-				io.mode = core.ModeIdeal
-				ideal, err := sp.runSirius(ctx, flows, io)
+				cfg.Mode = core.ModeIdeal
+				ideal, err := sp.runSirius(ctx, flows, cfg, defaultUplinks)
 				if err != nil {
 					return nil, err
 				}
@@ -172,10 +153,10 @@ func Fig10(ctx context.Context, rn *sweep.Runner, s Scale, qs []int, loads []flo
 					if err != nil {
 						return nil, err
 					}
-					o := defaultOpts()
-					o.q = q
-					o.trackReorder = true
-					res, err := s.withSeed(seed).runSirius(ctx, flows, o)
+					cfg := siriusDefaults()
+					cfg.Q = q
+					cfg.TrackReorder = true
+					res, err := s.withSeed(seed).runSirius(ctx, flows, cfg, defaultUplinks)
 					if err != nil {
 						return nil, err
 					}
@@ -238,15 +219,15 @@ func Fig11(ctx context.Context, rn *sweep.Runner, s Scale, guardsNS []float64) (
 				}
 				slot := phy.SlotForGuardband(50*simtime.Gbps,
 					simtime.Duration(g*float64(simtime.Nanosecond)), 0.10)
-				o := defaultOpts()
-				o.slot = slot
+				cfg := siriusDefaults()
+				cfg.Slot = slot
 				sp := s.withSeed(seed)
-				sir, err := sp.runSirius(ctx, flows, o)
+				sir, err := sp.runSirius(ctx, flows, cfg, defaultUplinks)
 				if err != nil {
 					return nil, err
 				}
-				o.mode = core.ModeIdeal
-				ideal, err := sp.runSirius(ctx, flows, o)
+				cfg.Mode = core.ModeIdeal
+				ideal, err := sp.runSirius(ctx, flows, cfg, defaultUplinks)
 				if err != nil {
 					return nil, err
 				}
@@ -300,9 +281,7 @@ func Fig12(ctx context.Context, rn *sweep.Runner, s Scale, mults, loads []float6
 				}
 				cells := []interface{}{load, esn.GoodputNorm}
 				for _, m := range mults {
-					o := defaultOpts()
-					o.mult = m
-					res, err := sp.runSirius(ctx, flows, o)
+					res, err := sp.runSirius(ctx, flows, siriusDefaults(), m)
 					if err != nil {
 						return nil, err
 					}
@@ -341,7 +320,7 @@ func Fig13(ctx context.Context, rn *sweep.Runner, s Scale, meanBytes []float64, 
 					return nil, err
 				}
 				sp := s.withSeed(seed)
-				sir, err := sp.runSirius(ctx, flows, defaultOpts())
+				sir, err := sp.runSirius(ctx, flows, siriusDefaults(), defaultUplinks)
 				if err != nil {
 					return nil, err
 				}

@@ -51,14 +51,14 @@ func FromTrace(ctx context.Context, flows []workload.Flow, gratingPorts int, see
 		Header: []string{"system", "completed", "goodput",
 			"short_p99_fct_ms", "all_p99_fct_ms"},
 	}
-	sir, err := s.runSirius(ctx, ordered, defaultOpts())
+	cfg := siriusDefaults()
+	sir, err := s.runSirius(ctx, ordered, cfg, defaultUplinks)
 	if err != nil {
 		return nil, err
 	}
 	addCoreRow(t, "SIRIUS", sir)
-	io := defaultOpts()
-	io.mode = core.ModeIdeal
-	ideal, err := s.runSirius(ctx, ordered, io)
+	cfg.Mode = core.ModeIdeal
+	ideal, err := s.runSirius(ctx, ordered, cfg, defaultUplinks)
 	if err != nil {
 		return nil, err
 	}

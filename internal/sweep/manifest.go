@@ -2,15 +2,11 @@ package sweep
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
-
-	"sirius/internal/metrics"
 )
 
 // PointRecord is one point's entry in the run manifest.
@@ -59,7 +55,8 @@ type SweepManifest struct {
 	Workers []WorkerRun `json:"workers,omitempty"`
 }
 
-// WorkerRun is one worker's contribution to a (merged) sweep manifest.
+// WorkerRun is one worker's contribution to a distributed sweep's
+// manifest.
 type WorkerRun struct {
 	Worker    string  `json:"worker"`
 	Env       *RunEnv `json:"env,omitempty"`
@@ -104,66 +101,6 @@ func CaptureEnv() *RunEnv {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
-}
-
-// MergeManifests merges per-worker partial SweepManifests of the same
-// sweep into one manifest equal — modulo wall-clock, parallelism and
-// placement fields, see Canonical — to the manifest a serial run of the
-// same sweep at the same root seed produces. The parts' point sets must
-// be disjoint; merging is order-independent:
-//
-//   - point records are concatenated and sorted by Index (the serial
-//     manifest's order);
-//   - cache hits and parallelism sum; wall time is the max of the parts
-//     (the parts ran concurrently);
-//   - wall-time percentiles are recomputed over the union, so they equal
-//     the serial percentiles exactly (same values, same estimator);
-//   - per-part Workers entries (worker name + reported RunEnv) are
-//     concatenated and sorted by worker name, preserving each worker's
-//     environment;
-//   - the first non-empty error wins.
-func MergeManifests(parts ...SweepManifest) (SweepManifest, error) {
-	if len(parts) == 0 {
-		return SweepManifest{}, fmt.Errorf("sweep: merge of zero manifests")
-	}
-	out := SweepManifest{Name: parts[0].Name, RootSeed: parts[0].RootSeed}
-	for _, p := range parts {
-		if p.Name != out.Name {
-			return SweepManifest{}, fmt.Errorf("sweep: merge of different sweeps %q and %q", out.Name, p.Name)
-		}
-		if p.RootSeed != out.RootSeed {
-			return SweepManifest{}, fmt.Errorf("sweep: merge of sweep %q across root seeds %d and %d", out.Name, out.RootSeed, p.RootSeed)
-		}
-		out.Points = append(out.Points, p.Points...)
-		out.Workers = append(out.Workers, p.Workers...)
-		out.CacheHit += p.CacheHit
-		out.Parallel += p.Parallel
-		if p.WallNS > out.WallNS {
-			out.WallNS = p.WallNS
-		}
-		if out.Err == "" {
-			out.Err = p.Err
-		}
-	}
-	sort.SliceStable(out.Points, func(i, j int) bool { return out.Points[i].Index < out.Points[j].Index })
-	for i := 1; i < len(out.Points); i++ {
-		if out.Points[i].Index == out.Points[i-1].Index {
-			return SweepManifest{}, fmt.Errorf("sweep: merge: point %d recorded by two parts", out.Points[i].Index)
-		}
-	}
-	sort.SliceStable(out.Workers, func(i, j int) bool { return out.Workers[i].Worker < out.Workers[j].Worker })
-	var wall metrics.Sample
-	for i := range out.Points {
-		if out.Points[i].Err == "" && out.Points[i].WallNS > 0 {
-			wall.Add(float64(out.Points[i].WallNS))
-		}
-	}
-	if wall.Count() > 0 {
-		out.WallP50NS = int64(wall.Percentile(50))
-		out.WallP95NS = int64(wall.Percentile(95))
-		out.WallMaxNS = int64(wall.Max())
-	}
-	return out, nil
 }
 
 // Canonical returns a copy of the manifest with every wall-clock,

@@ -8,13 +8,12 @@ import "testing"
 // the fluid event loop, both of which carry AllocsPerRun == 0
 // contracts (internal/core/alloc_test.go, fluid.TestEventLoopZeroAlloc).
 // This pins the telemetry side of that bargain: counter increments,
-// sharded increments, gauge sets and histogram observes must never
-// allocate. (Build-tagged !race because race instrumentation changes
-// allocation behavior, same as the other contracts.)
+// gauge sets and histogram observes must never allocate. (Build-tagged
+// !race because race instrumentation changes allocation behavior, same
+// as the other contracts.)
 func TestTelemetryZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("za_total", "uplink", "0")
-	sh := c.Shard()
 	g := r.Gauge("za_gauge")
 	h := r.Histogram("za_hist")
 
@@ -24,7 +23,6 @@ func TestTelemetryZeroAlloc(t *testing.T) {
 	}{
 		{"Counter.Add", func() { c.Add(3) }},
 		{"Counter.Inc", func() { c.Inc() }},
-		{"Shard.Inc", func() { sh.Inc() }},
 		{"Gauge.Set", func() { g.Set(1.25) }},
 		{"Histogram.Observe", func() { h.Observe(2.5) }},
 	}

@@ -37,7 +37,7 @@ type HistogramPoint struct {
 }
 
 // Snapshot is a point-in-time copy of a registry, cheap to take
-// (one pass summing shards) and safe to read concurrently with
+// (one pass over the series) and safe to read concurrently with
 // ongoing writes. Series are sorted by name then labels, so encoding
 // a snapshot is deterministic.
 type Snapshot struct {
@@ -47,7 +47,7 @@ type Snapshot struct {
 	Histograms []HistogramPoint `json:"histograms"`
 }
 
-// Snapshot sums every series' shards into a Snapshot. Point-in-time:
+// Snapshot reads every series into a Snapshot. Point-in-time:
 // writes racing the snapshot land in either this snapshot or the next.
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()

@@ -47,10 +47,9 @@ func TestHammerCountersAndSnapshots(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sh := c.Shard()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWriter; i++ {
-				sh.Inc()
+				c.Inc()
 				h.Observe(rng.Float64() * 4)
 				g.Set(float64(i))
 			}

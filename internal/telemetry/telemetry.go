@@ -14,86 +14,38 @@
 //
 // Instrumentation sits inside the core slot loop and the fluid event
 // loop, both of which carry AllocsPerRun == 0 contracts. Every hot-path
-// operation here — Shard.Inc, Gauge.Set and Histogram.Observe — is a
+// operation here — Counter.Add, Gauge.Set and Histogram.Observe — is a
 // plain atomic op on pre-allocated memory:
 // no maps, no interfaces, no boxing. Series creation (GetOrCreate*)
 // allocates and takes a mutex, so callers resolve series once at setup
 // time and keep the returned handle.
-//
-// # Sharding
-//
-// A Counter is a small array of cache-line-padded atomic shards.
-// Counter.Add folds into shard 0 (fine for uncontended call sites);
-// goroutine-heavy writers call Counter.Shard() once to receive a
-// round-robin *Shard handle and increment that without contention.
-// Snapshots sum the shards.
 package telemetry
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// shardCount is the number of independent cache lines each sharded
-// series spreads its writers over. Power of two so Shard() can mask.
-var shardCount = func() int {
-	n := runtime.GOMAXPROCS(0)
-	p := 1
-	for p < n && p < 64 {
-		p <<= 1
-	}
-	return p
-}()
-
-// Shard is one cache-line-padded cell of a sharded Counter. Writers
-// that obtained a Shard via Counter.Shard call Add on it directly:
-// a single uncontended atomic add, zero allocations.
-type Shard struct {
-	v atomic.Int64
-	_ [56]byte // pad to a typical cache line; avoid false sharing
-}
-
-// Inc increments the shard by one.
-func (s *Shard) Inc() { s.v.Add(1) }
-
-// Counter is a monotonically increasing sharded counter.
+// Counter is a monotonically increasing counter: one atomic int64.
 type Counter struct {
 	name   string
 	labels string // canonical rendered label set, "" if none
-	shards []Shard
-	next   atomic.Uint32 // round-robin shard assignment
+	v      atomic.Int64
 }
 
-// Add increments the counter by n using shard 0. Fine for call sites
-// without goroutine contention; hot concurrent writers should hold a
-// Shard handle instead.
-func (c *Counter) Add(n int64) { c.shards[0].v.Add(n) }
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one (shard 0).
-func (c *Counter) Inc() { c.shards[0].v.Add(1) }
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Shard hands out a per-caller shard handle, assigned round-robin.
-// Call once per goroutine at setup; the returned handle is valid for
-// the life of the process.
-func (c *Counter) Shard() *Shard {
-	i := c.next.Add(1) - 1
-	return &c.shards[int(i)%len(c.shards)]
-}
-
-// Value sums the shards. A point-in-time read; concurrent adds may or
+// Value reads the counter. A point-in-time read; concurrent adds may or
 // may not be included.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Name returns the series name (without labels).
 func (c *Counter) Name() string { return c.name }
@@ -304,7 +256,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 		return c
 	}
 	r.checkName(name, kindCounter)
-	c := &Counter{name: name, labels: ls, shards: make([]Shard, shardCount)}
+	c := &Counter{name: name, labels: ls}
 	r.ctrs[key] = c
 	return c
 }

@@ -30,18 +30,6 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestCounterShards(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("sharded_total")
-	// Grab more handles than shards; all must still sum correctly.
-	for i := 0; i < shardCount*3; i++ {
-		c.Shard().Inc()
-	}
-	if got := c.Value(); got != int64(shardCount*3) {
-		t.Fatalf("Value = %d, want %d", got, shardCount*3)
-	}
-}
-
 func TestLabelCanonicalization(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("lbl_total", "b", "2", "a", "1")

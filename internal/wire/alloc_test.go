@@ -73,7 +73,7 @@ func TestEmulatorRoutePathZeroAlloc(t *testing.T) {
 func allocTestNode(t *testing.T, nodes, payloadBytes int) *node {
 	t.Helper()
 	n, err := newNode(NodeConfig{ID: 0, Nodes: nodes, Epochs: 1 << 20, PayloadBytes: payloadBytes,
-		Timeout: time.Minute, SuspectTimeout: time.Minute, MissThreshold: 3})
+		Timeout: time.Minute, SuspectTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -159,39 +160,56 @@ func TestParkHighWaterMark(t *testing.T) {
 	}
 }
 
-// TestIdleFlusherDeliversStragglers pins the idle-flush leg of the
-// policy: a single frame routed to a quiet port (far below the batch
-// budgets) still reaches the wire within a few flush intervals.
-func TestIdleFlusherDeliversStragglers(t *testing.T) {
+// TestDrainFlushDeliversLoneFrame pins the drain leg of the flush
+// policy through Serve: one frame on port 0 for port 1, far below the
+// batch budgets, reaches port 1 because its input drained. No timer
+// flushes batches, so without the drain flush the frame would sit in
+// port 1's batch until the fabric closed.
+func TestDrainFlushDeliversLoneFrame(t *testing.T) {
 	e, err := NewEmulator(2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	e.SetBatching(1024)
-	go e.Serve()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- e.Serve() }()
+	defer func() {
+		e.Close()
+		if err := <-serveErr; err != nil {
+			t.Errorf("Serve returned %v after Close", err)
+		}
+	}()
 
-	sink := &sinkConn{}
-	e.out[1].mu.Lock()
-	e.out[1].conn = sink
-	e.out[1].gen = 1
-	e.out[1].mu.Unlock()
+	conns := make([]net.Conn, 2)
+	for port := range conns {
+		conn, err := net.Dial("tcp", e.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		h := EncodeHandshake(port, 0)
+		conn.Write(h[:])
+		var reply [hsReplyLen]byte
+		if _, err := io.ReadFull(conn, reply[:]); err != nil || reply[0] != HsOK {
+			t.Fatalf("port %d registration failed: %v %v", port, err, reply)
+		}
+		conns[port] = conn
+	}
 
 	frame := testFrame(t, 0, 1, 1<<8, 64)
-	e.deliver(1, frame)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		e.out[1].mu.Lock()
-		flushed := e.out[1].frames == 0 && sink.bytes == len(frame)
-		e.out[1].mu.Unlock()
-		if flushed {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("idle flusher never flushed the straggler (pending=%d, wrote %d bytes)",
-				e.out[1].frames, sink.bytes)
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := conns[0].Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	conns[1].SetReadDeadline(time.Now().Add(2 * time.Second))
+	w, cellBytes, err := ReadFrame(conns[1])
+	if err != nil {
+		t.Fatalf("port 1 never received the frame: %v", err)
+	}
+	c, _, err := cell.DecodeAlias(cellBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != 1 || c.Src != 0 || c.Dst != 1 || c.Seq != 1<<8 {
+		t.Errorf("port 1 read wavelength %d cell %d->%d seq %d, want 1, 0->1, seq %d", w, c.Src, c.Dst, c.Seq, 1<<8)
 	}
 }

@@ -30,13 +30,14 @@ const handshakeTimeout = 5 * time.Second
 
 // Write-coalescing policy for the output ports (SetBatching overrides the
 // frame budget). A batch is flushed as soon as it holds DefaultBatchFrames
-// frames or DefaultBatchBytes bytes, when the contributing input stream
-// momentarily drains (the per-epoch burst boundary), or — for stragglers —
-// by an idle flusher that runs every DefaultFlushInterval.
+// frames or DefaultBatchBytes bytes, by the input that appended to it once
+// that input's stream drains, ends or stalls, and by the replay when its
+// port (re)registers. No timer is needed: a node writes each epoch burst
+// whole, so an input blocks with frames unflushed only in the middle of a
+// frame whose remaining bytes are already on their way.
 const (
-	DefaultBatchFrames   = 16
-	DefaultBatchBytes    = 32 << 10
-	DefaultFlushInterval = 500 * time.Microsecond
+	DefaultBatchFrames = 16
+	DefaultBatchBytes  = 32 << 10
 )
 
 // framePool recycles batch/park buffers. Buffers move by ownership
@@ -70,10 +71,8 @@ type outPort struct {
 	pending      *[]byte  // pooled accumulation blob (nil when empty)
 	frames       int      // frames coalesced in pending
 	parked       []parkedChunk
-	parkedFrames int    // frames across sealed parked chunks
-	appendSeq    uint64 // bumped per appended frame
-	idleSeq      uint64 // appendSeq at the idle flusher's last visit
-	mayReconnect bool   // cached mayReconnectLocked, refreshed on registration
+	parkedFrames int  // frames across sealed parked chunks
+	mayReconnect bool // cached mayReconnectLocked, refreshed on registration
 }
 
 // Emulator is the AWGR stand-in: a process that accepts one TCP connection
@@ -100,8 +99,6 @@ type Emulator struct {
 	plan     *fault.Plan
 
 	batchFrames int
-	flushQuit   chan struct{}
-	flushStop   sync.Once
 
 	out []outPort
 
@@ -132,10 +129,6 @@ type Emulator struct {
 	tel *emuTel
 
 	wg sync.WaitGroup
-	// flusherWG tracks the idle flusher alone, so Close can wait for it
-	// specifically (the input goroutines in wg may be blocked on reads
-	// that only finish once Close tears their connections down).
-	flusherWG sync.WaitGroup
 }
 
 // NewEmulator listens on an ephemeral localhost port with no fault plan.
@@ -168,7 +161,6 @@ func NewEmulatorFault(addr string, ports int, flipProb float64, seed uint64, pla
 		flipProb:    flipProb,
 		plan:        plan,
 		batchFrames: DefaultBatchFrames,
-		flushQuit:   make(chan struct{}),
 		out:         make([]outPort, ports),
 		regCount:    make([]int, ports),
 		eofFinal:    make([]bool, ports),
@@ -211,9 +203,7 @@ func (e *Emulator) Rejected() int64 { return e.rejected.Load() }
 // closed and Serve returns nil. Batched frames still holding a live
 // connection get one best-effort bounded flush; everything left after
 // that — pending batches and parked frames alike — is accounted as
-// dropped, so counters balance even on an abortive shutdown. The idle
-// flusher is stopped and waited for, so no goroutine of the emulator's
-// own machinery outlives Close. Idempotent.
+// dropped, so counters balance even on an abortive shutdown. Idempotent.
 func (e *Emulator) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -234,13 +224,6 @@ func (e *Emulator) Close() error {
 			op.conn.Close()
 			op.conn = nil
 		}
-		op.mu.Unlock()
-	}
-	e.stopIdleFlusher()
-	e.flusherWG.Wait()
-	for p := range e.out {
-		op := &e.out[p]
-		op.mu.Lock()
 		e.discardHeldLocked(op)
 		op.mu.Unlock()
 	}
@@ -270,11 +253,6 @@ func (e *Emulator) discardHeldLocked(op *outPort) {
 	op.mayReconnect = false
 }
 
-// stopIdleFlusher signals the idle flusher to exit. Idempotent.
-func (e *Emulator) stopIdleFlusher() {
-	e.flushStop.Do(func() { close(e.flushQuit) })
-}
-
 // Serve accepts connections and routes frames until the fabric completes
 // (every port registered at least once and every input reached its final
 // EOF) or Close is called. A malformed, duplicate, or out-of-range
@@ -282,13 +260,9 @@ func (e *Emulator) stopIdleFlusher() {
 // reason — and the accept loop keeps going: a buggy or malicious client
 // cannot take the fabric down.
 func (e *Emulator) Serve() error {
-	e.wg.Add(1)
-	e.flusherWG.Add(1)
-	go e.idleFlusher()
 	for {
 		conn, err := e.ln.Accept()
 		if err != nil {
-			e.stopIdleFlusher()
 			e.wg.Wait()
 			e.mu.Lock()
 			done := e.closed || e.completing
@@ -300,35 +274,6 @@ func (e *Emulator) Serve() error {
 		}
 		e.wg.Add(1)
 		go e.admit(conn)
-	}
-}
-
-// idleFlusher periodically sweeps the output ports and flushes any batch
-// that has sat unchanged for a whole interval, so a lone frame routed to
-// a quiet port never waits on the batch-size budget. TryLock keeps the
-// sweeper from blocking behind one stalled port.
-func (e *Emulator) idleFlusher() {
-	defer e.wg.Done()
-	defer e.flusherWG.Done()
-	t := time.NewTicker(DefaultFlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.flushQuit:
-			return
-		case <-t.C:
-		}
-		for p := range e.out {
-			op := &e.out[p]
-			if !op.mu.TryLock() {
-				continue
-			}
-			if op.conn != nil && op.frames > 0 && op.appendSeq == op.idleSeq {
-				e.flushLocked(p, op, e.tel.flushIdle)
-			}
-			op.idleSeq = op.appendSeq
-			op.mu.Unlock()
-		}
 	}
 }
 
@@ -501,8 +446,8 @@ func (e *Emulator) routeOne(port int, w uint8, frame, cellBytes []byte, dirty []
 }
 
 // flushDirty flushes the batches of every port in the touched set and
-// clears the set. Ports whose batches were already flushed (size/byte
-// budget, idle sweep) no-op.
+// clears the set. Ports whose batches were already flushed (a budget, or
+// another input's flush) no-op.
 func (e *Emulator) flushDirty(dirty []bool, touched *[]int) {
 	for _, out := range *touched {
 		dirty[out] = false
@@ -548,7 +493,6 @@ func (e *Emulator) appendLocked(op *outPort, frame []byte) {
 	}
 	*op.pending = append(*op.pending, frame...)
 	op.frames++
-	op.appendSeq++
 }
 
 // flushLocked writes the port's batch in one conn.Write, attributing the
@@ -730,7 +674,6 @@ func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 // are stable), then close the listener and all connections so every
 // receiver sees EOF and Serve returns.
 func (e *Emulator) finishFabric() {
-	e.stopIdleFlusher()
 	for p := range e.out {
 		op := &e.out[p]
 		op.mu.Lock()

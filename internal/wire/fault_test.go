@@ -35,7 +35,7 @@ func faultCfg(nodes, epochs int, plan *fault.Plan) PrototypeConfig {
 
 func TestNodeCrashDetectedAndCompacted(t *testing.T) {
 	// The acceptance experiment: kill node 2 at epoch 8 of 30. The
-	// survivors must suspect it after MissThreshold silent epochs, confirm
+	// survivors must suspect it after missThreshold silent epochs, confirm
 	// fabric-wide one epoch later, switch to the compacted schedule at the
 	// agreed boundary, and finish error-free — with no absolute deadline
 	// doing the work.

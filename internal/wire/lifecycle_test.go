@@ -371,9 +371,8 @@ func TestEmulatorCloseAccountsParked(t *testing.T) {
 }
 
 func TestEmulatorCloseStopsGoroutines(t *testing.T) {
-	// Close leaves no emulator goroutine behind: the idle flusher is
-	// stopped and joined, and Serve's workers unwind once the listener and
-	// connections are closed.
+	// Close leaves no emulator goroutine behind: Serve's workers unwind
+	// once the listener and connections are closed.
 	before := runtime.NumGoroutine()
 
 	em, err := NewEmulator(2, 0, 1)

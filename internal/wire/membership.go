@@ -173,7 +173,7 @@ func newMembership(cfg NodeConfig, stats *NodeStats, tel *nodeTel) (*membership,
 	if err != nil {
 		return nil, err
 	}
-	obs, err := health.NewObserver(cfg.Nodes, cfg.MissThreshold)
+	obs, err := health.NewObserver(cfg.Nodes, missThreshold)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +425,7 @@ func (m *membership) arrived() bool {
 }
 
 // timeout ends a blocked epoch wait: each lagging member is judged by the
-// gap-based health.Observer, a member silent for MissThreshold consecutive
+// gap-based health.Observer, a member silent for missThreshold consecutive
 // epochs is suspected with the agreed switch epoch g+2 (one epoch to
 // flood, one to align), and the wait ends either way.
 func (m *membership) timeout() error {

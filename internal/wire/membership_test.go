@@ -89,8 +89,7 @@ func newExplorer(seed uint64) (*explorer, error) {
 	reg := telemetry.NewRegistry()
 	x.stats = make([]NodeStats, x.nodes)
 	for i := 0; i < x.nodes; i++ {
-		cfg := NodeConfig{ID: i, Nodes: x.nodes, Epochs: x.epochs, MissThreshold: defaultMissThreshold,
-			Plan: x.plan, Telemetry: reg}
+		cfg := NodeConfig{ID: i, Nodes: x.nodes, Epochs: x.epochs, Plan: x.plan, Telemetry: reg}
 		tel := newNodeTel(cfg)
 		m, err := newMembership(cfg, &x.stats[i], &tel)
 		if err != nil {

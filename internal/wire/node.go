@@ -21,11 +21,14 @@ import (
 const (
 	defaultTimeout        = 10 * time.Second
 	defaultSuspectTimeout = 2 * time.Second
-	defaultMissThreshold  = 3
 	reconnectAttempts     = 8
 	reconnectBase         = 10 * time.Millisecond
 	reconnectCap          = 640 * time.Millisecond
 )
+
+// missThreshold is how many consecutive silent epochs an observer
+// tolerates before suspecting a peer (§4.5).
+const missThreshold = 3
 
 // fecThreshold is the pre-FEC bit error rate below which the KP4-class FEC
 // assumed by the paper corrects everything: runs at or under it claim
@@ -51,10 +54,6 @@ type NodeConfig struct {
 	// optimistically. It is the wall-clock proxy for the paper's
 	// epoch-scale silence detection. Default 2s.
 	SuspectTimeout time.Duration
-
-	// MissThreshold is how many consecutive silent epochs an observer
-	// tolerates before suspecting a peer (§4.5). Default 3.
-	MissThreshold int
 
 	// Plan scripts this node's crash or restart, if any. A node with a
 	// plan records per-epoch received-cell counts (NodeStats.RxPerEpoch).
@@ -159,9 +158,6 @@ func RunNode(cfg NodeConfig) (*NodeStats, error) {
 	}
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = defaultSuspectTimeout
-	}
-	if cfg.MissThreshold <= 0 {
-		cfg.MissThreshold = defaultMissThreshold
 	}
 	n, err := newNode(cfg)
 	if err != nil {

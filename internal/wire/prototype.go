@@ -36,9 +36,8 @@ type PrototypeConfig struct {
 	// Plan scripts the faults to inject; nil runs a clean fabric.
 	Plan *fault.Plan
 
-	// MissThreshold, SuspectTimeout and Timeout are forwarded to every
-	// node (zero values take the NodeConfig defaults).
-	MissThreshold  int
+	// SuspectTimeout and Timeout are forwarded to every node (zero
+	// values take the NodeConfig defaults).
 	SuspectTimeout time.Duration
 	Timeout        time.Duration
 
@@ -157,7 +156,6 @@ func RunPrototypeCfg(cfg PrototypeConfig) (*FaultStats, error) {
 				PayloadBytes:   cfg.PayloadBytes,
 				Timeout:        cfg.Timeout,
 				SuspectTimeout: cfg.SuspectTimeout,
-				MissThreshold:  cfg.MissThreshold,
 				Plan:           cfg.Plan,
 				Telemetry:      cfg.Telemetry,
 				Health:         cfg.Health,
@@ -243,14 +241,10 @@ func (fs *FaultStats) fillFailureView(cfg PrototypeConfig, stats []*NodeStats) e
 	}
 
 	f := consensus[0]
-	threshold := cfg.MissThreshold
-	if threshold <= 0 {
-		threshold = defaultMissThreshold
-	}
 	fs.SuspectEpoch = f.SuspectEpoch
 	fs.ConfirmEpoch = f.ConfirmEpoch
 	fs.SwitchEpoch = f.SwitchEpoch
-	fs.KillEpoch = f.SuspectEpoch - threshold
+	fs.KillEpoch = f.SuspectEpoch - missThreshold
 	fs.DetectEpochs = fs.ConfirmEpoch - fs.KillEpoch
 
 	// Goodput split: mean received cells per survivor-epoch, normalized by

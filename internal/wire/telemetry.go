@@ -16,11 +16,10 @@ import (
 
 // nodeTel holds one node's resolved telemetry handles. Handles are
 // resolved once in RunNode; the per-cell hot path then performs plain
-// atomic increments (sent/received use dedicated counter shards: one
-// goroutine each, uncontended).
+// atomic increments (sent and received each have one writer goroutine).
 type nodeTel struct {
-	sent        *telemetry.Shard
-	received    *telemetry.Shard
+	sent        *telemetry.Counter
+	received    *telemetry.Counter
 	misrouted   *telemetry.Counter
 	bitErrs     *telemetry.Counter
 	bits        *telemetry.Counter
@@ -42,8 +41,8 @@ func newNodeTel(cfg NodeConfig) nodeTel {
 	}
 	id := strconv.Itoa(cfg.ID)
 	return nodeTel{
-		sent:        reg.Counter("sirius_wire_cells_sent_total", "node", id).Shard(),
-		received:    reg.Counter("sirius_wire_cells_received_total", "node", id).Shard(),
+		sent:        reg.Counter("sirius_wire_cells_sent_total", "node", id),
+		received:    reg.Counter("sirius_wire_cells_received_total", "node", id),
 		misrouted:   reg.Counter("sirius_wire_cells_misrouted_total", "node", id),
 		bitErrs:     reg.Counter("sirius_wire_bit_errors_total", "node", id),
 		bits:        reg.Counter("sirius_wire_bits_total", "node", id),
@@ -89,8 +88,7 @@ type emuTel struct {
 	coalesced     *telemetry.Counter
 	flushBatch    *telemetry.Counter // batch-size budget reached
 	flushBytes    *telemetry.Counter // byte budget reached
-	flushDrain    *telemetry.Counter // input stream momentarily drained (epoch boundary)
-	flushIdle     *telemetry.Counter // idle flusher timeout
+	flushDrain    *telemetry.Counter // input drained (epoch boundary), ended or stalled; shutdown
 	flushRegister *telemetry.Counter // park-queue replay on (re)registration
 	batchFrames   *telemetry.Histogram
 	parkedPeak    *telemetry.Gauge
@@ -114,7 +112,6 @@ func newEmuTel(reg *telemetry.Registry, h *telemetry.Health, ports int) *emuTel 
 		flushBatch:    reg.Counter("sirius_awgr_flushes_total", "cause", "batch"),
 		flushBytes:    reg.Counter("sirius_awgr_flushes_total", "cause", "bytes"),
 		flushDrain:    reg.Counter("sirius_awgr_flushes_total", "cause", "drain"),
-		flushIdle:     reg.Counter("sirius_awgr_flushes_total", "cause", "idle"),
 		flushRegister: reg.Counter("sirius_awgr_flushes_total", "cause", "register"),
 		batchFrames:   reg.Histogram("sirius_awgr_batch_frames"),
 		parkedPeak:    reg.Gauge("sirius_awgr_parked_frames_peak"),
