@@ -116,7 +116,7 @@ func main() {
 	// endpoints open; call it right before a successful exit.
 	flushObs := func() {
 		if tracer != nil {
-			if err := tracer.WriteJSONFile(*traceEvents); err != nil {
+			if err := telemetry.WriteFileAtomic(*traceEvents, tracer.WriteJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "siriusnet: trace-events: %v\n", err)
 			} else {
 				fmt.Printf("trace events written to %s (%d dropped)\n", *traceEvents, tracer.Dropped())

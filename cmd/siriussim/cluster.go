@@ -211,12 +211,12 @@ func runWorkerRole(ctx context.Context, o workerOpts) int {
 		if runErr != nil {
 			rec.Err = runErr.Error()
 		}
-		if err := writeJSONFile(o.perfJSON, []any{rec}); err != nil {
+		if err := telemetry.WriteFileAtomic(o.perfJSON, indentJSON([]any{rec})); err != nil {
 			fmt.Fprintf(os.Stderr, "perfjson: %v\n", err)
 		}
 	}
 	if o.telOut != "" {
-		if err := telemetry.Default.Snapshot().WriteJSONFile(o.telOut); err != nil {
+		if err := telemetry.WriteFileAtomic(o.telOut, telemetry.Default.Snapshot().WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry-out: %v\n", err)
 		}
 	}

@@ -51,9 +51,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
@@ -492,7 +492,7 @@ func run(args []string) int {
 		if runner.Cache != nil {
 			m.Cache = runner.Cache.Dir()
 		}
-		if err := m.WriteFile(*manifest); err != nil {
+		if err := telemetry.WriteFileAtomic(*manifest, m.Write); err != nil {
 			fmt.Fprintf(os.Stderr, "manifest: %v\n", err)
 		}
 	}
@@ -500,17 +500,17 @@ func run(args []string) int {
 	// Observability artifacts: best-effort, flushed even on failure so an
 	// interrupted run still leaves its timeline and counters behind.
 	if *perfJSON != "" {
-		if err := writeJSONFile(*perfJSON, perfRecords); err != nil {
+		if err := telemetry.WriteFileAtomic(*perfJSON, indentJSON(perfRecords)); err != nil {
 			fmt.Fprintf(os.Stderr, "perfjson: %v\n", err)
 		}
 	}
 	if *telOut != "" {
-		if err := telemetry.Default.Snapshot().WriteJSONFile(*telOut); err != nil {
+		if err := telemetry.WriteFileAtomic(*telOut, telemetry.Default.Snapshot().WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry-out: %v\n", err)
 		}
 	}
 	if tracer != nil {
-		if err := tracer.WriteJSONFile(*traceOut); err != nil {
+		if err := telemetry.WriteFileAtomic(*traceOut, tracer.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "trace-events: %v\n", err)
 		}
 	}
@@ -525,30 +525,14 @@ func run(args []string) int {
 	return 0
 }
 
-// writeJSONFile writes v as indented JSON to path (temp file + rename),
-// creating parent directories as needed.
-func writeJSONFile(path string, v any) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+// indentJSON is an encoder for telemetry.WriteFileAtomic that writes v as
+// indented JSON.
+func indentJSON(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".perf-*")
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -202,7 +202,6 @@ func TestShardedDifferential(t *testing.T) {
 					Q:             4,
 					NormalizeRate: 100 * simtime.Gbps,
 					Seed:          seed * 31,
-					KeepPerFlow:   true,
 				}
 				v.mutate(&cfg)
 				ref, rref := runSim(t, cfg, flows)
@@ -248,7 +247,6 @@ func TestShardedDifferentialSched(t *testing.T) {
 					Mode:          f.mode,
 					NormalizeRate: 100 * simtime.Gbps,
 					Seed:          seed * 31,
-					KeepPerFlow:   true,
 				}
 				withPlanner := func() Config {
 					c := cfg

@@ -59,7 +59,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"sirius/internal/cell"
 	"sirius/internal/congestion"
@@ -67,6 +66,7 @@ import (
 	"sirius/internal/phy"
 	"sirius/internal/schedule"
 	"sirius/internal/simtime"
+	"sirius/internal/telemetry"
 	"sirius/internal/workload"
 )
 
@@ -145,8 +145,6 @@ type Config struct {
 	NormalizeRate simtime.Rate
 	// TrackReorder enables per-flow reorder-buffer accounting (Fig. 10d).
 	TrackReorder bool
-	// KeepPerFlow retains per-flow completion times in the results.
-	KeepPerFlow bool
 	// FailedNodes marks nodes as failed (§4.5): their schedule slots go
 	// dark (pass a schedule.Degraded as Schedule to enforce that) and
 	// they are never chosen as intermediates. Flows touching them are
@@ -220,23 +218,24 @@ type Results struct {
 	// uplinks — is the denominator for an overhead fraction.
 	ReconfigLinkSlots int64
 	// PerFlowFCT holds each flow's completion time, indexed like the
-	// input flows (only when Config.KeepPerFlow is set).
+	// input flows (-1 for a flow that did not complete).
 	PerFlowFCT []simtime.Duration
 }
 
-// Process-wide observability counters, exposed so cmd/siriussim can print
-// a cells/sec summary per experiment without threading state through the
-// harness. They are cumulative across every Run in the process.
+// Process-wide telemetry series, resolved once, that Counters reads so
+// cmd/siriussim can print a cells/sec summary per experiment without
+// threading state through the harness. They are cumulative across every
+// Run in the process.
 var (
-	statCells atomic.Int64
-	statSlots atomic.Int64
+	cellsDelivered = telemetry.Default.Counter("sirius_core_cells_delivered_total")
+	slotsSimulated = telemetry.Default.Counter("sirius_core_slots_total")
 )
 
 // Counters reports the cumulative number of cells delivered and timeslots
 // simulated by every completed Run in this process. Snapshot before and
 // after a workload to compute its cells/sec.
 func Counters() (cells, slots int64) {
-	return statCells.Load(), statSlots.Load()
+	return cellsDelivered.Value(), slotsSimulated.Value()
 }
 
 // sim is the run state.
@@ -630,8 +629,6 @@ func (s *sim) run() (*Results, error) {
 		return nil, fmt.Errorf("core: slot cap %d reached with %d/%d flows complete",
 			maxSlots, s.completed, len(s.flows))
 	}
-	statCells.Add(s.delivered)
-	statSlots.Add(slot)
 	s.flushTelemetry(slot)
 
 	res := &Results{
@@ -672,9 +669,7 @@ func (s *sim) run() (*Results, error) {
 		ideal := s.cfg.NormalizeRate.TimeToSend(s.flows[i].Bytes)
 		res.Slowdown.Add(float64(s.fct[i]) / float64(ideal))
 	}
-	if s.cfg.KeepPerFlow {
-		res.PerFlowFCT = s.fct
-	}
+	res.PerFlowFCT = s.fct
 	return res, nil
 }
 

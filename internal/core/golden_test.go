@@ -97,7 +97,6 @@ func goldenCase(t *testing.T, mutate func(*Config)) (Config, []workload.Flow) {
 		Q:             4,
 		NormalizeRate: 200 * simtime.Gbps,
 		Seed:          42,
-		KeepPerFlow:   true,
 	}
 	mutate(&cfg)
 	return cfg, flows

@@ -689,7 +689,6 @@ func (sp refSpec) build(t testing.TB) (Config, []workload.Flow, func() Planner) 
 		NoDirect:       sp.noDirect,
 		InstantControl: sp.instant,
 		TrackReorder:   sp.reorder,
-		KeepPerFlow:    true,
 		MaxSlots:       1 << 21,
 	}
 	var failed []int

@@ -18,8 +18,8 @@ import (
 func (s *sim) flushTelemetry(slots int64) {
 	reg := telemetry.Default
 	reg.Counter("sirius_core_runs_total").Inc()
-	reg.Counter("sirius_core_cells_delivered_total").Add(s.delivered)
-	reg.Counter("sirius_core_slots_total").Add(slots)
+	cellsDelivered.Add(s.delivered)
+	slotsSimulated.Add(slots)
 	reg.Counter("sirius_core_direct_cells_total").Add(s.direct)
 	reg.Counter("sirius_core_epochs_total").Add(s.epoch)
 	if s.grantsIssued > 0 {

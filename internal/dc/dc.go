@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"sirius/internal/core"
 	"sirius/internal/fluid"
@@ -98,18 +97,19 @@ type Results struct {
 	PeakLocalBytes int
 }
 
-// Process-wide observability counters (mirrors core.Counters and
-// fluid.Counters): cumulative flows completed by dc runs and intra-rack
-// fluid simulations executed, for cmd/siriussim's -perf summary.
+// Process-wide telemetry series, resolved once, that Counters reads
+// (mirrors core.Counters and fluid.Counters): cumulative flows completed
+// by dc runs and intra-rack fluid simulations executed, for
+// cmd/siriussim's -perf summary.
 var (
-	statFlows    atomic.Int64
-	statRackRuns atomic.Int64
+	flowsCompleted = telemetry.Default.Counter("sirius_dc_flows_completed_total")
+	rackRuns       = telemetry.Default.Counter("sirius_dc_rack_runs_total")
 )
 
 // Counters reports the cumulative number of server-level flows completed
 // and intra-rack simulations executed by every Run in this process.
-func Counters() (flows, rackRuns int64) {
-	return statFlows.Load(), statRackRuns.Load()
+func Counters() (flows, racks int64) {
+	return flowsCompleted.Value(), rackRuns.Value()
 }
 
 // RunContext simulates server-level flows to completion, with
@@ -241,7 +241,6 @@ func RunContext(ctx context.Context, cfg Config, flows []workload.Flow) (*Result
 			InjectRate:    injectRate,
 			LocalCap:      cfg.LocalCells,
 			Seed:          cfg.Seed,
-			KeepPerFlow:   true,
 		}, inter)
 		if err != nil {
 			return nil, err
@@ -274,12 +273,10 @@ func RunContext(ctx context.Context, cfg Config, flows []workload.Flow) (*Result
 		res.ServerGoodput = float64(windowBytes) * 8 /
 			(window.Seconds() * float64(servers) * float64(cfg.ServerRate))
 	}
-	statFlows.Add(int64(res.Completed))
 	// Telemetry flush, once per composed run (observe-only; the racks'
 	// own fluid runs publish their counters from fluid.finish).
-	reg := telemetry.Default
-	reg.Counter("sirius_dc_runs_total").Inc()
-	reg.Counter("sirius_dc_flows_completed_total").Add(int64(res.Completed))
+	telemetry.Default.Counter("sirius_dc_runs_total").Inc()
+	flowsCompleted.Add(int64(res.Completed))
 	return res, nil
 }
 
@@ -305,8 +302,7 @@ func runRacks(ctx context.Context, cfg Config, intraByRack [][]workload.Flow) ([
 			work = append(work, rack)
 		}
 	}
-	statRackRuns.Add(int64(len(work)))
-	telemetry.Default.Counter("sirius_dc_rack_runs_total").Add(int64(len(work)))
+	rackRuns.Add(int64(len(work)))
 	out := make([]*fluid.Results, len(intraByRack))
 	// Poll ctx between racks so a cancelled sweep stops at a rack
 	// boundary even when individual racks are tiny.

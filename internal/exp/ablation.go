@@ -37,7 +37,7 @@ func Ablation(ctx context.Context, rn *sweep.Runner, s Scale, load float64) (*Ta
 		pts[i] = sweep.Point{
 			Key: fmt.Sprintf("ablation|%s|load=%g|variant=%s", s.keyID(), load, v.name),
 			Run: func(ctx context.Context, _ uint64) ([][]string, error) {
-				flows, err := s.flows(load, 100e3, s.Seed)
+				flows, err := s.flows(load, 100e3, 0, s.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -48,7 +48,7 @@ func Ablation(ctx context.Context, rn *sweep.Runner, s Scale, load float64) (*Ta
 					return nil, err
 				}
 				return [][]string{row(v.name, res.GoodputNorm,
-					fmtMS(p99OrNaN(&res.FCTShort)), res.DirectFraction)}, nil
+					fmtMS(res.FCTShort.Percentile(99)), res.DirectFraction)}, nil
 			},
 		}
 	}

@@ -64,20 +64,6 @@ func (s Scale) archPlanner(family string) (core.Planner, core.Mode, error) {
 	return nil, 0, fmt.Errorf("unknown scheduler family %q", family)
 }
 
-// flowsSkewed generates the workload at the given load, mean flow size
-// and hotspot skew (0 keeps the uniform §7 traffic; otherwise that
-// fraction of flows targets node 0).
-func (s Scale) flowsSkewed(load, meanBytes, hotFrac float64, seed uint64) ([]workload.Flow, error) {
-	cfg := workload.DefaultConfig(s.Racks, s.nodeRate(), load, s.Flows)
-	cfg.MeanFlowBytes = meanBytes
-	cfg.Seed = seed
-	if hotFrac > 0 {
-		cfg.Pattern = workload.Hotspot
-		cfg.HotFraction = hotFrac
-	}
-	return workload.Generate(cfg)
-}
-
 // runSiriusSched runs the slot-level simulator with a dynamic planner in
 // place of a static schedule, otherwise configured like runSirius on
 // siriusDefaults.
@@ -117,7 +103,7 @@ func ArchCompare(ctx context.Context, rn *sweep.Runner, s Scale, loads, meanByte
 						// The workload is seeded from the scale so every family
 						// within a row competes on the same flow sample; only
 						// simulator randomness comes from the point substream.
-						flows, err := s.flowsSkewed(load, mb, hf, s.Seed)
+						flows, err := s.flows(load, mb, hf, s.Seed)
 						if err != nil {
 							return nil, err
 						}

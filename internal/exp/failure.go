@@ -53,7 +53,7 @@ func Failure(ctx context.Context, rn *sweep.Runner, s Scale, failures []int) (*T
 				}
 
 				// Traffic among survivors only (the same flow set for both runs).
-				all, err := s.flows(0.9, 100e3, s.Seed)
+				all, err := s.flows(0.9, 100e3, 0, s.Seed)
 				if err != nil {
 					return nil, err
 				}

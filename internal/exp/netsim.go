@@ -20,11 +20,17 @@ func (s Scale) nodeRate() simtime.Rate {
 	return simtime.Rate(s.Racks/s.GratingPorts) * 50 * simtime.Gbps
 }
 
-// flows generates the §7 workload at the given load.
-func (s Scale) flows(load, meanBytes float64, seed uint64) ([]workload.Flow, error) {
+// flows generates the §7 workload at the given load, mean flow size and
+// hotspot skew (0 keeps the uniform §7 traffic; otherwise that fraction
+// of flows targets node 0).
+func (s Scale) flows(load, meanBytes, hotFrac float64, seed uint64) ([]workload.Flow, error) {
 	cfg := workload.DefaultConfig(s.Racks, s.nodeRate(), load, s.Flows)
 	cfg.MeanFlowBytes = meanBytes
 	cfg.Seed = seed
+	if hotFrac > 0 {
+		cfg.Pattern = workload.Hotspot
+		cfg.HotFraction = hotFrac
+	}
 	return workload.Generate(cfg)
 }
 
@@ -95,7 +101,7 @@ func Fig9(ctx context.Context, rn *sweep.Runner, s Scale, loads []float64) (*Tab
 		pts[i] = sweep.Point{
 			Key: fmt.Sprintf("fig9|%s|load=%g|mean=%g", s.keyID(), load, 100e3),
 			Run: func(ctx context.Context, seed uint64) ([][]string, error) {
-				flows, err := s.flows(load, 100e3, s.Seed)
+				flows, err := s.flows(load, 100e3, 0, s.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -149,7 +155,7 @@ func Fig10(ctx context.Context, rn *sweep.Runner, s Scale, qs []int, loads []flo
 			pts = append(pts, sweep.Point{
 				Key: fmt.Sprintf("fig10|%s|q=%d|load=%g", s.keyID(), q, load),
 				Run: func(ctx context.Context, seed uint64) ([][]string, error) {
-					flows, err := s.flows(load, 100e3, s.Seed)
+					flows, err := s.flows(load, 100e3, 0, s.Seed)
 					if err != nil {
 						return nil, err
 					}
@@ -197,7 +203,7 @@ func Fig11(ctx context.Context, rn *sweep.Runner, s Scale, guardsNS []float64) (
 	pts = append(pts, sweep.Point{
 		Key: fmt.Sprintf("fig11|%s|esn|load=%g", s.keyID(), load),
 		Run: func(ctx context.Context, seed uint64) ([][]string, error) {
-			flows, err := s.flows(load, 100e3, s.Seed)
+			flows, err := s.flows(load, 100e3, 0, s.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -213,7 +219,7 @@ func Fig11(ctx context.Context, rn *sweep.Runner, s Scale, guardsNS []float64) (
 		pts = append(pts, sweep.Point{
 			Key: fmt.Sprintf("fig11|%s|guard=%g|load=%g", s.keyID(), g, load),
 			Run: func(ctx context.Context, seed uint64) ([][]string, error) {
-				flows, err := s.flows(load, 100e3, s.Seed)
+				flows, err := s.flows(load, 100e3, 0, s.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -270,7 +276,7 @@ func Fig12(ctx context.Context, rn *sweep.Runner, s Scale, mults, loads []float6
 		pts[i] = sweep.Point{
 			Key: fmt.Sprintf("fig12|%s|load=%g|mults=%v", s.keyID(), load, mults),
 			Run: func(ctx context.Context, seed uint64) ([][]string, error) {
-				flows, err := s.flows(load, 100e3, s.Seed)
+				flows, err := s.flows(load, 100e3, 0, s.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -315,7 +321,7 @@ func Fig13(ctx context.Context, rn *sweep.Runner, s Scale, meanBytes []float64, 
 		pts[i] = sweep.Point{
 			Key: fmt.Sprintf("fig13|%s|mean=%g|load=%g", s.keyID(), mb, load),
 			Run: func(ctx context.Context, seed uint64) ([][]string, error) {
-				flows, err := s.flows(load, mb, seed)
+				flows, err := s.flows(load, mb, 0, seed)
 				if err != nil {
 					return nil, err
 				}

@@ -68,33 +68,20 @@ func FromTrace(ctx context.Context, flows []workload.Flow, gratingPorts int, see
 		return nil, err
 	}
 	t.Add("ESN (Ideal)", esn.Completed, esn.MakespanGoodput,
-		fmtMS(p99OrNaN(&esn.FCTShort)), fmtMS(p99OrNaN(&esn.FCTAll)))
+		fmtMS(esn.FCTShort.Percentile(99)), fmtMS(esn.FCTAll.Percentile(99)))
 	osub, err := s.runESN(ctx, ordered, 3)
 	if err != nil {
 		return nil, err
 	}
 	t.Add("ESN-OSUB (Ideal)", osub.Completed, osub.MakespanGoodput,
-		fmtMS(p99OrNaN(&osub.FCTShort)), fmtMS(p99OrNaN(&osub.FCTAll)))
+		fmtMS(osub.FCTShort.Percentile(99)), fmtMS(osub.FCTAll.Percentile(99)))
 	return t, nil
 }
 
 func addCoreRow(t *Table, name string, r *core.Results) {
 	t.Add(name, r.Completed, r.MakespanGoodput,
-		fmtMS(p99OrNaN(&r.FCTShort)), fmtMS(p99OrNaN(&r.FCTAll)))
+		fmtMS(r.FCTShort.Percentile(99)), fmtMS(r.FCTAll.Percentile(99)))
 }
-
-// p99OrNaN guards empty samples.
-func p99OrNaN(s interface {
-	Count() int
-	Percentile(float64) float64
-}) float64 {
-	if s.Count() == 0 {
-		return nan()
-	}
-	return s.Percentile(99)
-}
-
-func nan() float64 { var z float64; return z / z }
 
 // FromTraceFile loads a CSV trace and runs FromTrace.
 func FromTraceFile(ctx context.Context, path string, gratingPorts int, seed uint64) (*Table, error) {

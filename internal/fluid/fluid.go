@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"sirius/internal/metrics"
 	"sirius/internal/simtime"
@@ -93,20 +92,21 @@ type Results struct {
 	FCTAll, FCTShort metrics.Sample
 }
 
-// Process-wide observability counters, exposed so cmd/siriussim can print
-// a flows/sec summary per experiment without threading state through the
-// harness (mirrors core.Counters). Cumulative across every Run in the
-// process; updated once per completed run, not per event.
+// Process-wide telemetry series, resolved once, that Counters reads so
+// cmd/siriussim can print a flows/sec summary per experiment without
+// threading state through the harness (mirrors core.Counters).
+// Cumulative across every Run in the process; updated once per completed
+// run, not per event.
 var (
-	statFlows  atomic.Int64
-	statEvents atomic.Int64
+	flowsCompleted  = telemetry.Default.Counter("sirius_fluid_flows_completed_total")
+	eventsProcessed = telemetry.Default.Counter("sirius_fluid_events_total")
 )
 
 // Counters reports the cumulative number of flows completed and events
 // (arrivals plus completions) processed by every Run in this process.
 // Snapshot before and after a workload to compute its flows/sec.
 func Counters() (flows, events int64) {
-	return statFlows.Load(), statEvents.Load()
+	return flowsCompleted.Value(), eventsProcessed.Value()
 }
 
 // Run simulates the flows to completion.
@@ -585,16 +585,14 @@ func (e *engine) finish() *Results {
 	} else {
 		res.GoodputNorm = res.MakespanGoodput
 	}
-	statFlows.Add(int64(res.Completed))
-	statEvents.Add(e.events)
 	// Telemetry flush: the event loop only bumps plain int64 fields
 	// (rounds, freezes, events), keeping TestEventLoopZeroAlloc intact;
 	// the registry is touched once per run, here.
 	reg := telemetry.Default
 	reg.Counter("sirius_fluid_runs_total").Inc()
-	reg.Counter("sirius_fluid_events_total").Add(e.events)
+	eventsProcessed.Add(e.events)
 	reg.Counter("sirius_fluid_bottleneck_rounds_total").Add(e.rounds)
 	reg.Counter("sirius_fluid_freezes_total").Add(e.freezes)
-	reg.Counter("sirius_fluid_flows_completed_total").Add(int64(res.Completed))
+	flowsCompleted.Add(int64(res.Completed))
 	return res
 }

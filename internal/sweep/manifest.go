@@ -3,8 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 )
@@ -131,30 +129,4 @@ func (m *RunManifest) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// WriteFile atomically writes the manifest to path, creating parent
-// directories as needed.
-func (m *RunManifest) WriteFile(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
-		return err
-	}
-	if err := m.Write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

@@ -229,7 +229,7 @@ func TestManifestWriteFile(t *testing.T) {
 		Sweeps:    r.Manifests(),
 	}
 	path := filepath.Join(t.TempDir(), "sub", "manifest.json")
-	if err := m.WriteFile(path); err != nil {
+	if err := telemetry.WriteFileAtomic(path, m.Write); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

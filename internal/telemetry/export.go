@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
@@ -190,24 +191,31 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteJSONFile writes the snapshot as JSON to path (atomic: temp file
-// + rename).
-func (s *Snapshot) WriteJSONFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// WriteFileAtomic writes an artifact to path with write (an encoder such
+// as Snapshot.WriteJSON): into a temp file of its own in path's
+// directory, which is created if missing, then renamed over path. A
+// reader never sees a partial file, and concurrent writers never share a
+// temp file.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	return os.Rename(tmp, path)
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // CounterTotal sums all series of the named counter across label sets.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -177,23 +176,4 @@ func ValidateTrace(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSONFile writes the trace to path (atomic: temp file + rename).
-func (t *Tracer) WriteJSONFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

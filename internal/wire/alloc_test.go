@@ -20,7 +20,7 @@ import (
 // TestEmulatorRoutePathZeroAlloc pins the zero-allocation contract of
 // the emulator's per-frame route path: with the read buffer reused, the
 // frame header rewritten in place, and delivery appending into the
-// destination port's retained batch blob, routing a frame — including
+// destination port's retained buffer, routing a frame — including
 // the drain flush — performs no heap allocations in steady state.
 func TestEmulatorRoutePathZeroAlloc(t *testing.T) {
 	const ports = 8
@@ -49,7 +49,7 @@ func TestEmulatorRoutePathZeroAlloc(t *testing.T) {
 		e.flushDirty(dirty, &touched)
 	}
 	for i := 0; i < 100; i++ {
-		step() // warm the pending blobs and pool
+		step() // size the ports' buffers
 	}
 	if avg := testing.AllocsPerRun(300, step); avg != 0 {
 		t.Errorf("route path allocates %.2f objects per frame, want 0", avg)

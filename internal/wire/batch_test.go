@@ -131,8 +131,8 @@ func TestPortCapFriendlyErrors(t *testing.T) {
 }
 
 // TestParkHighWaterMark pins the park-queue accounting: frames routed
-// toward a never-registered port accumulate (pooled, no per-frame copy)
-// up to parkLimit, the high-water mark reports the deepest queue, and
+// toward a never-registered port accumulate in its buffer up to
+// parkLimit, the high-water mark reports the deepest queue, and
 // overflow counts dropped.
 func TestParkHighWaterMark(t *testing.T) {
 	e, err := NewEmulator(4, 0, 1)
@@ -157,6 +157,72 @@ func TestParkHighWaterMark(t *testing.T) {
 	e.deliver(1, frame)
 	if got := e.parkedPeak.Load(); got != parkLimit {
 		t.Errorf("ParkedPeak moved to %d after delivery to a live port", got)
+	}
+}
+
+// TestParkedReplayInOrder pins the registration replay of a park queue
+// several byte budgets deep: frames routed toward a port that has not
+// registered yet reach it, all of them and in routing order, once it
+// registers, in one flush counted under cause "register".
+func TestParkedReplayInOrder(t *testing.T) {
+	e, err := NewEmulator(2, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	e.Instrument(reg, nil)
+	frameLen := len(testFrame(t, 0, 1, 0, 562))
+	n := 3*DefaultBatchBytes/frameLen + 1
+	for i := 0; i < n; i++ {
+		e.deliver(1, testFrame(t, 0, 1, uint32(i), 562))
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- e.Serve() }()
+	defer func() {
+		e.Close()
+		if err := <-serveErr; err != nil {
+			t.Errorf("Serve returned %v after Close", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", e.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	h := EncodeHandshake(1, 0)
+	conn.Write(h[:])
+	var reply [hsReplyLen]byte
+	if _, err := io.ReadFull(conn, reply[:]); err != nil || reply[0] != HsOK {
+		t.Fatalf("port 1 registration failed: %v %v", err, reply)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < n; i++ {
+		_, cellBytes, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v", i, n, err)
+		}
+		c, _, err := cell.DecodeAlias(cellBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Seq != uint32(i) {
+			t.Fatalf("frame %d carries seq %d", i, c.Seq)
+		}
+	}
+	if got := e.Dropped(); got != 0 {
+		t.Errorf("Dropped = %d, want 0", got)
+	}
+	if got := e.parkedPeak.Load(); got != int64(n) {
+		t.Errorf("ParkedPeak = %d, want %d", got, n)
+	}
+	if got := reg.Counter("sirius_awgr_flushes_total", "cause", "register").Value(); got != 1 {
+		t.Errorf("register flushes = %d, want 1", got)
+	}
+	for _, hp := range reg.Snapshot().Histograms {
+		if hp.Name == "sirius_awgr_batch_frames" && (hp.Count != 1 || hp.Sum != float64(n)) {
+			t.Errorf("batch histogram holds %d batches of %v frames in all, want 1 of %d", hp.Count, hp.Sum, n)
+		}
 	}
 }
 

@@ -40,39 +40,20 @@ const (
 	DefaultBatchBytes  = 32 << 10
 )
 
-// framePool recycles batch/park buffers. Buffers move by ownership
-// transfer: an output port's accumulation blob becomes a parked chunk
-// without copying, and returns to the pool once replayed to a
-// (re)registered connection.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, DefaultBatchBytes+maxFrame+frameHeader)
-		return &b
-	},
-}
-
-// parkedChunk is a sealed blob of coalesced frames awaiting a port's
-// (re)registration. buf is pooled; it is returned to framePool after a
-// successful replay.
-type parkedChunk struct {
-	buf    *[]byte
-	frames int
-}
-
 // outPort is one output port of the grating: the registered connection
-// plus the write-coalescing state in front of it. op.mu serializes all
-// writes to the port, so a stalled reader back-pressures only the inputs
-// currently routing to it — never the rest of the fabric. Lock order:
-// op.mu before e.mu, never the reverse.
+// plus the one buffer in front of it. While the port is connected, buf
+// batches frames for the next write; while it is absent and expected
+// back, buf holds up to parkLimit frames for the registration replay.
+// op.mu serializes all writes to the port, so a stalled reader
+// back-pressures only the inputs currently routing to it — never the
+// rest of the fabric. Lock order: op.mu before e.mu, never the reverse.
 type outPort struct {
 	mu           sync.Mutex
 	conn         net.Conn // nil while the port is absent
 	gen          int      // bumped per (re)registration
-	pending      *[]byte  // pooled accumulation blob (nil when empty)
-	frames       int      // frames coalesced in pending
-	parked       []parkedChunk
-	parkedFrames int  // frames across sealed parked chunks
-	mayReconnect bool // cached mayReconnectLocked, refreshed on registration
+	buf          []byte   // whole frames, batched or parked
+	frames       int      // frames in buf
+	mayReconnect bool     // cached mayReconnectLocked, refreshed on registration
 }
 
 // Emulator is the AWGR stand-in: a process that accepts one TCP connection
@@ -201,56 +182,45 @@ func (e *Emulator) Rejected() int64 { return e.rejected.Load() }
 
 // Close shuts the emulator down: the listener and all connections are
 // closed and Serve returns nil. Batched frames still holding a live
-// connection get one best-effort bounded flush; everything left after
-// that — pending batches and parked frames alike — is accounted as
-// dropped, so counters balance even on an abortive shutdown. Idempotent.
+// connection get one best-effort flush bounded by 50 ms. Idempotent.
 func (e *Emulator) Close() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
+	done := e.closed
 	e.closed = true
 	e.mu.Unlock()
-	e.ln.Close()
-	for p := range e.out {
-		op := &e.out[p]
-		op.mu.Lock()
-		if op.conn != nil && op.frames > 0 {
-			op.conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-			e.flushLocked(p, op, e.tel.flushDrain)
-		}
-		if op.conn != nil {
-			op.conn.Close()
-			op.conn = nil
-		}
-		e.discardHeldLocked(op)
-		op.mu.Unlock()
+	if !done {
+		e.shutdown(50 * time.Millisecond)
 	}
 	return nil
 }
 
-// discardHeldLocked accounts and recycles every frame still held for a
-// port — the pending batch and all parked chunks — and bars further
-// parking. Called with op.mu held, during shutdown.
-func (e *Emulator) discardHeldLocked(op *outPort) {
-	if n := op.frames + op.parkedFrames; n > 0 {
-		e.dropped.Add(int64(n))
-		e.tel.dropped.Add(int64(n))
+// shutdown closes the listener and every port. A port's batch gets one
+// flush, bounded by flushWithin when that is positive, and its connection
+// is closed so the receiver sees EOF. Whatever is still held after that
+// (a failed flush, frames parked for a port that never returned) is
+// counted dropped, so routed frames always land in delivered, dropped or
+// grey-dropped, even on an abortive Close.
+func (e *Emulator) shutdown(flushWithin time.Duration) {
+	e.ln.Close()
+	for p := range e.out {
+		op := &e.out[p]
+		op.mu.Lock()
+		if op.conn != nil && op.frames > 0 && flushWithin > 0 {
+			op.conn.SetWriteDeadline(time.Now().Add(flushWithin))
+		}
+		e.flushLocked(p, op, e.tel.flushDrain)
+		if op.conn != nil {
+			op.conn.Close()
+			op.conn = nil
+		}
+		if op.frames > 0 {
+			e.dropped.Add(int64(op.frames))
+			e.tel.dropped.Add(int64(op.frames))
+		}
+		op.buf, op.frames = nil, 0
+		op.mayReconnect = false // bars further parking
+		op.mu.Unlock()
 	}
-	if op.pending != nil {
-		*op.pending = (*op.pending)[:0]
-		framePool.Put(op.pending)
-		op.pending = nil
-	}
-	op.frames = 0
-	for _, pc := range op.parked {
-		*pc.buf = (*pc.buf)[:0]
-		framePool.Put(pc.buf)
-	}
-	op.parked = nil
-	op.parkedFrames = 0
-	op.mayReconnect = false
 }
 
 // Serve accepts connections and routes frames until the fabric completes
@@ -278,7 +248,8 @@ func (e *Emulator) Serve() error {
 }
 
 // admit performs the handshake on a fresh connection and, on success,
-// registers it, replays any parked frames, and starts routing its input.
+// registers it, replays the frames held for the port, and starts routing
+// its input.
 func (e *Emulator) admit(conn net.Conn) {
 	defer e.wg.Done()
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -324,29 +295,14 @@ func (e *Emulator) admit(conn net.Conn) {
 	e.tel.registered.Inc()
 	e.tel.health.ClearCondition(emuPortKey(port))
 
-	// Reply and replay the park queue while still holding op.mu, so no
-	// freshly routed frame can jump ahead of the backlog.
+	// Reply and replay the held frames in one write while still holding
+	// op.mu, so no freshly routed frame can jump ahead of them.
 	if _, err := conn.Write([]byte{HsOK, uint8(port)}); err != nil {
 		e.retireConnLocked(port, op)
 		op.mu.Unlock()
 		return
 	}
-	for len(op.parked) > 0 {
-		ch := op.parked[0]
-		if _, err := conn.Write(*ch.buf); err != nil {
-			e.retireConnLocked(port, op)
-			op.mu.Unlock()
-			return
-		}
-		op.parkedFrames -= ch.frames
-		*ch.buf = (*ch.buf)[:0]
-		framePool.Put(ch.buf)
-		op.parked = op.parked[1:]
-	}
-	if op.frames > 0 {
-		// Frames parked in the live accumulation blob.
-		e.flushLocked(port, op, e.tel.flushRegister)
-	}
+	e.flushLocked(port, op, e.tel.flushRegister)
 	op.mu.Unlock()
 
 	e.wg.Add(1)
@@ -476,22 +432,23 @@ func (e *Emulator) deliver(out int, frame []byte) {
 	if op.frames > 0 {
 		e.tel.coalesced.Inc()
 	}
-	e.appendLocked(op, frame)
+	op.appendLocked(frame)
 	if op.frames >= e.batchFrames {
 		e.flushLocked(out, op, e.tel.flushBatch)
-	} else if len(*op.pending) >= DefaultBatchBytes {
+	} else if len(op.buf) >= DefaultBatchBytes {
 		e.flushLocked(out, op, e.tel.flushBytes)
 	}
 	op.mu.Unlock()
 }
 
-// appendLocked copies a frame into the port's accumulation blob, taking a
-// pooled buffer if the port has none. Called with op.mu held.
-func (e *Emulator) appendLocked(op *outPort, frame []byte) {
-	if op.pending == nil {
-		op.pending = framePool.Get().(*[]byte)
+// appendLocked copies a frame into the port's buffer, sized on first use
+// to hold a full batch so the live path never grows it. Called with
+// op.mu held.
+func (op *outPort) appendLocked(frame []byte) {
+	if op.buf == nil {
+		op.buf = make([]byte, 0, DefaultBatchBytes+maxFrame+frameHeader)
 	}
-	*op.pending = append(*op.pending, frame...)
+	op.buf = append(op.buf, frame...)
 	op.frames++
 }
 
@@ -504,11 +461,11 @@ func (e *Emulator) flushLocked(port int, op *outPort, cause *telemetry.Counter) 
 		return
 	}
 	n := op.frames
-	if _, err := op.conn.Write(*op.pending); err != nil {
+	if _, err := op.conn.Write(op.buf); err != nil {
 		e.retireConnLocked(port, op)
 		return
 	}
-	*op.pending = (*op.pending)[:0]
+	op.buf = op.buf[:0]
 	op.frames = 0
 	cause.Inc()
 	e.tel.batchFrames.Observe(float64(n))
@@ -533,59 +490,42 @@ func (e *Emulator) retireConnLocked(port int, op *outPort) {
 	e.parkPendingLocked(op)
 }
 
-// parkFrameLocked queues one frame for an absent port that is expected to
-// (re)connect, or counts it dropped. Frames accumulate into the pooled
-// blob and seal into parked chunks at the byte budget — no per-frame
-// copy beyond the append itself. Called with op.mu held.
+// parkFrameLocked holds one frame for an absent port that is expected to
+// (re)connect, up to parkLimit frames, or counts it dropped. Called with
+// op.mu held.
 func (e *Emulator) parkFrameLocked(op *outPort, frame []byte) {
-	if !op.mayReconnect || op.parkedFrames+op.frames >= parkLimit {
+	if !op.mayReconnect || op.frames >= parkLimit {
 		e.dropped.Add(1)
 		e.tel.dropped.Inc()
 		return
 	}
-	e.appendLocked(op, frame)
+	op.appendLocked(frame)
 	e.tel.parked.Inc()
-	if len(*op.pending) >= DefaultBatchBytes {
-		e.sealPendingLocked(op)
-	}
 	e.notePark(op)
 }
 
-// parkPendingLocked converts the port's live batch into a parked chunk
-// (ownership transfer, no copy) when the port is expected back, or counts
-// the frames dropped. Called with op.mu held, op.conn nil.
+// parkPendingLocked keeps the port's batch in place for the registration
+// replay when the port is expected back, or counts its frames dropped.
+// Called with op.mu held, op.conn nil.
 func (e *Emulator) parkPendingLocked(op *outPort) {
 	if op.frames == 0 {
 		return
 	}
-	if op.mayReconnect && op.parkedFrames+op.frames <= parkLimit {
+	if op.mayReconnect && op.frames <= parkLimit {
 		e.tel.parked.Add(int64(op.frames))
-		e.sealPendingLocked(op)
 		e.notePark(op)
 		return
 	}
 	e.dropped.Add(int64(op.frames))
 	e.tel.dropped.Add(int64(op.frames))
-	*op.pending = (*op.pending)[:0]
-	op.frames = 0
-}
-
-// sealPendingLocked moves the accumulation blob into the parked list and
-// leaves the port without a pending buffer. Called with op.mu held.
-func (e *Emulator) sealPendingLocked(op *outPort) {
-	if op.frames == 0 {
-		return
-	}
-	op.parked = append(op.parked, parkedChunk{buf: op.pending, frames: op.frames})
-	op.parkedFrames += op.frames
-	op.pending = nil
+	op.buf = op.buf[:0]
 	op.frames = 0
 }
 
 // notePark updates the park-queue high-water mark after frames were
 // parked on op. Called with op.mu held.
 func (e *Emulator) notePark(op *outPort) {
-	cur := int64(op.parkedFrames + op.frames)
+	cur := int64(op.frames)
 	for {
 		old := e.parkedPeak.Load()
 		if cur <= old {
@@ -665,30 +605,10 @@ func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 	e.mu.Unlock()
 	op.mu.Unlock()
 	if complete {
-		e.finishFabric()
+		// No input appends anymore, so the batches are stable and their
+		// flush needs no bound.
+		e.shutdown(0)
 	}
-}
-
-// finishFabric runs once when the last input stream retires: flush every
-// port's remaining batch (no input goroutine appends anymore, so batches
-// are stable), then close the listener and all connections so every
-// receiver sees EOF and Serve returns.
-func (e *Emulator) finishFabric() {
-	for p := range e.out {
-		op := &e.out[p]
-		op.mu.Lock()
-		e.flushLocked(p, op, e.tel.flushDrain)
-		if op.conn != nil {
-			op.conn.Close()
-			op.conn = nil
-		}
-		// Anything still held (a failed flush, frames parked for a port
-		// that never returned) is accounted as dropped: routed frames
-		// always land in delivered, dropped, or grey-dropped.
-		e.discardHeldLocked(op)
-		op.mu.Unlock()
-	}
-	e.ln.Close()
 }
 
 // fabricDoneLocked reports whether every port has registered and every

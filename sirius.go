@@ -231,17 +231,27 @@ func toInternal(flows []Flow) []workload.Flow {
 	return out
 }
 
-// Run simulates the flows on the Sirius fabric and returns the report.
-func (c Config) Run(flows []Flow) (*Report, error) {
+// setFCT fills the report's completion-time fields from the samples of
+// all flows and of short flows; an empty sample leaves its fields zero.
+func (r *Report) setFCT(all, short *metrics.Sample) {
+	r.FCTMean = msToDuration(all.Mean())
+	r.FCTP50 = msToDuration(all.Percentile(50))
+	r.FCTP99 = msToDuration(all.Percentile(99))
+	r.ShortFCTMean = msToDuration(short.Mean())
+	r.ShortFCTP50 = msToDuration(short.Percentile(50))
+	r.ShortFCTP99 = msToDuration(short.Percentile(99))
+}
+
+// coreConfig builds the slot-level simulator's configuration for this
+// fabric, validating its topology and rack tier.
+func (c Config) coreConfig() (core.Config, error) {
 	sched, err := c.buildSchedule()
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	mode := core.ModeRequestGrant
-	name := "SIRIUS"
 	if c.Ideal {
 		mode = core.ModeIdeal
-		name = "SIRIUS (IDEAL)"
 	}
 	ccfg := core.Config{
 		Schedule:      sched,
@@ -255,7 +265,7 @@ func (c Config) Run(flows []Flow) (*Report, error) {
 	}
 	if c.Rack != nil {
 		if c.Rack.Servers < 1 || c.Rack.ServerRate <= 0 {
-			return nil, fmt.Errorf("sirius: invalid rack tier %+v", c.Rack)
+			return core.Config{}, fmt.Errorf("sirius: invalid rack tier %+v", c.Rack)
 		}
 		ccfg.InjectRate = c.Rack.injectRate(ccfg.Slot)
 		ccfg.LocalCap = c.Rack.BufferCells
@@ -263,9 +273,22 @@ func (c Config) Run(flows []Flow) (*Report, error) {
 			ccfg.LocalCap = 8 * c.Rack.Servers
 		}
 	}
+	return ccfg, nil
+}
+
+// Run simulates the flows on the Sirius fabric and returns the report.
+func (c Config) Run(flows []Flow) (*Report, error) {
+	ccfg, err := c.coreConfig()
+	if err != nil {
+		return nil, err
+	}
 	res, err := core.Run(ccfg, toInternal(flows))
 	if err != nil {
 		return nil, err
+	}
+	name := "SIRIUS"
+	if c.Ideal {
+		name = "SIRIUS (IDEAL)"
 	}
 	rep := &Report{
 		System:             name,
@@ -274,20 +297,11 @@ func (c Config) Run(flows []Flow) (*Report, error) {
 		SimTime:            simtime.Duration(res.SimTime).Std(),
 		DeliveredBytes:     res.DeliveredBytes,
 		Goodput:            res.GoodputNorm,
-		FCTMean:            msToDuration(res.FCTAll.Mean()),
 		PeakNodeQueueBytes: res.PeakNodeQueueBytes,
 		PeakReorderBytes:   res.PeakReorderBytes,
 		DirectFraction:     res.DirectFraction,
 	}
-	if res.FCTAll.Count() > 0 {
-		rep.FCTP50 = msToDuration(res.FCTAll.Percentile(50))
-		rep.FCTP99 = msToDuration(res.FCTAll.Percentile(99))
-	}
-	if res.FCTShort.Count() > 0 {
-		rep.ShortFCTMean = msToDuration(res.FCTShort.Mean())
-		rep.ShortFCTP50 = msToDuration(res.FCTShort.Percentile(50))
-		rep.ShortFCTP99 = msToDuration(res.FCTShort.Percentile(99))
-	}
+	rep.setFCT(&res.FCTAll, &res.FCTShort)
 	if res.Slowdown.Count() > 0 {
 		rep.SlowdownP50 = res.Slowdown.Percentile(50)
 		rep.SlowdownP99 = res.Slowdown.Percentile(99)
@@ -301,6 +315,8 @@ func (c Config) Run(flows []Flow) (*Report, error) {
 // the paper's scaling path for the post-Moore's-law era — capacity grows
 // by adding passive planes rather than switch generations. Goodput is
 // normalized to the aggregate capacity (planes x Nodes x NodeBandwidth).
+// A flow stays on one plane, so the peak reorder buffer is the planes'
+// largest.
 func (c Config) RunParallel(flows []Flow, planes int) (*Report, error) {
 	if planes < 1 {
 		return nil, fmt.Errorf("sirius: need >= 1 plane")
@@ -324,24 +340,11 @@ func (c Config) RunParallel(flows []Flow, planes int) (*Report, error) {
 	for p := 0; p < planes; p++ {
 		pc := c
 		pc.Seed = c.Seed + uint64(p)*0x9E3779B9
-		sched, err := pc.buildSchedule()
+		ccfg, err := pc.coreConfig()
 		if err != nil {
 			return nil, err
 		}
-		mode := core.ModeRequestGrant
-		if pc.Ideal {
-			mode = core.ModeIdeal
-		}
-		res, err := core.Run(core.Config{
-			Schedule:      sched,
-			Slot:          pc.slot(),
-			Q:             pc.QueueBound,
-			Mode:          mode,
-			NormalizeRate: pc.NodeBandwidth(),
-			FailedNodes:   pc.FailedNodes,
-			Seed:          pc.Seed,
-			KeepPerFlow:   true,
-		}, toInternal(striped[p]))
+		res, err := core.Run(ccfg, toInternal(striped[p]))
 		if err != nil {
 			return nil, err
 		}
@@ -351,6 +354,7 @@ func (c Config) RunParallel(flows []Flow, planes int) (*Report, error) {
 		if st := simtime.Duration(res.SimTime).Std(); st > merged.SimTime {
 			merged.SimTime = st
 		}
+		merged.PeakReorderBytes = max(merged.PeakReorderBytes, res.PeakReorderBytes)
 		goodput += res.GoodputNorm
 		for i, fct := range res.PerFlowFCT {
 			if fct < 0 {
@@ -367,16 +371,7 @@ func (c Config) RunParallel(flows []Flow, planes int) (*Report, error) {
 	// planes carry disjoint striped load, so the aggregate-normalized
 	// goodput is their mean.
 	merged.Goodput = goodput / float64(planes)
-	if fctAll.Count() > 0 {
-		merged.FCTMean = msToDuration(fctAll.Mean())
-		merged.FCTP50 = msToDuration(fctAll.Percentile(50))
-		merged.FCTP99 = msToDuration(fctAll.Percentile(99))
-	}
-	if fctShort.Count() > 0 {
-		merged.ShortFCTMean = msToDuration(fctShort.Mean())
-		merged.ShortFCTP50 = msToDuration(fctShort.Percentile(50))
-		merged.ShortFCTP99 = msToDuration(fctShort.Percentile(99))
-	}
+	merged.setFCT(&fctAll, &fctShort)
 	return merged, nil
 }
 
@@ -406,17 +401,8 @@ func (c Config) RunESN(flows []Flow, oversub, endpointsPerRack int) (*Report, er
 		SimTime:        simtime.Duration(res.SimTime).Std(),
 		DeliveredBytes: res.DeliveredBytes,
 		Goodput:        res.GoodputNorm,
-		FCTMean:        msToDuration(res.FCTAll.Mean()),
 	}
-	if res.FCTAll.Count() > 0 {
-		rep.FCTP50 = msToDuration(res.FCTAll.Percentile(50))
-		rep.FCTP99 = msToDuration(res.FCTAll.Percentile(99))
-	}
-	if res.FCTShort.Count() > 0 {
-		rep.ShortFCTMean = msToDuration(res.FCTShort.Mean())
-		rep.ShortFCTP50 = msToDuration(res.FCTShort.Percentile(50))
-		rep.ShortFCTP99 = msToDuration(res.FCTShort.Percentile(99))
-	}
+	rep.setFCT(&res.FCTAll, &res.FCTShort)
 	return rep, nil
 }
 

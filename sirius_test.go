@@ -231,6 +231,31 @@ func TestParallelPlanesRelieveOverload(t *testing.T) {
 	}
 }
 
+// TestParallelPlanesKeepRackTierAndReorder runs every plane with the
+// configuration Run builds: a slow rack tier slows the planes' ingress,
+// and reorder tracking reports the planes' largest buffer.
+func TestParallelPlanesKeepRackTierAndReorder(t *testing.T) {
+	c := DefaultConfig(32)
+	c.TrackReorder = true
+	flows := Workload(c, 0.8, 600, 1)
+	fast, err := c.RunParallel(flows, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.PeakReorderBytes == 0 {
+		t.Error("two planes with reorder tracking report no reorder buffer")
+	}
+	// 4 servers at 10G: 40G aggregate against 400G of node bandwidth.
+	c.Rack = &RackTier{Servers: 4, ServerRate: 10 * Gbps}
+	slow, err := c.RunParallel(flows, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.FCTP99 <= fast.FCTP99 {
+		t.Errorf("rack tier left the two planes' p99 FCT at %v (without it %v)", slow.FCTP99, fast.FCTP99)
+	}
+}
+
 func TestParallelPlanesValidation(t *testing.T) {
 	c := DefaultConfig(16)
 	if _, err := c.RunParallel(nil, 0); err == nil {
@@ -238,6 +263,11 @@ func TestParallelPlanesValidation(t *testing.T) {
 	}
 	if _, err := c.RunParallel([]Flow{{Src: 99, Dst: 1, Bytes: 1}}, 2); err == nil {
 		t.Error("bad source accepted")
+	}
+	bad := c
+	bad.Rack = &RackTier{Servers: 0, ServerRate: 1e9}
+	if _, err := bad.RunParallel(Workload(c, 0.3, 50, 1), 2); err == nil {
+		t.Error("bad rack tier accepted by two planes")
 	}
 	// planes=1 falls through to Run.
 	rep, err := c.RunParallel(Workload(c, 0.3, 50, 1), 1)
